@@ -18,8 +18,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .core import (
     Dataset,
     DPParams,
@@ -29,17 +27,18 @@ from .core import (
     NormalBase,
     RngStream,
     UniformBase,
-    ecdf_build,
     parse_functional,
 )
-from .dp import atom_masses, conjugate_update, dp0_posterior, polya_urn_predictive, stick_break
+from .dp import conjugate_update, dp0_posterior
 from .equiv import compare, convergence_experiment
-from .resample import (
-    Method,
-    bayesian_bootstrap_weights,
-    dp_bootstrap_sample,
-    frequentist_bootstrap,
-)
+from .resample import Method, _kernel
+
+# Unused here since resampling goes through the kernel table; kept bound
+# because bench/tracing.py wraps these names on this module.
+from .core import ecdf_build  # noqa: F401
+from .dp import atom_masses, polya_urn_predictive, stick_break  # noqa: F401
+from .resample import bayesian_bootstrap_weights, dp_bootstrap_sample  # noqa: F401
+from .resample import frequentist_bootstrap  # noqa: F401
 
 
 class CliError(Exception):
@@ -102,33 +101,10 @@ def _float_repr(x) -> str:
     return repr(float(x))
 
 
-def _stick_line_weights(data: Dataset, epsilon: float, rng: RngStream) -> np.ndarray:
-    """Per-input-line posterior masses from one stick-breaking draw.
-
-    Mass lands on distinct values; tied lines split their value's mass
-    equally, so the vector sums to 1 like the flat-Dirichlet weights.
-    """
-    measure = stick_break(dp0_posterior(data), epsilon, rng)
-    ecdf = ecdf_build(data)
-    masses = atom_masses(measure, ecdf.values)
-    line_idx = np.searchsorted(ecdf.values, data.values)
-    return masses[line_idx] / ecdf.counts[line_idx]
-
-
 def _cmd_resample(args) -> int:
-    data = _read_dataset(args.input)
-    rng = RngStream(args.seed, 0)
-    method = Method(args.method)
-    if method is Method.FREQUENTIST:
-        out = frequentist_bootstrap(data, rng).values
-    elif method is Method.BAYESIAN_DIRICHLET:
-        out = bayesian_bootstrap_weights(len(data), rng)
-    elif method is Method.DP_STICK_BREAK:
-        out = _stick_line_weights(data, args.epsilon, rng)
-    elif method is Method.DP_STICK_BREAK_POINTS:
-        out = dp_bootstrap_sample(data, args.epsilon, rng).values
-    else:
-        out = polya_urn_predictive(dp0_posterior(data), len(data), rng).values
+    kernel = _kernel(Method(args.method), _read_dataset(args.input), args.epsilon)
+    points, weights = kernel(RngStream(args.seed, 0).generator())
+    out = points if weights is None else weights
     _write_text(args.output, "".join(f"{float(v):.17g}\n" for v in out))
     return 0
 

@@ -85,6 +85,11 @@ def derive_seed(seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+def _uniform_indices(n: int, size: int, gen) -> np.ndarray:
+    """`size` uniform indices into range(n), one uniform deviate each."""
+    return (np.asarray(gen.random(size)) * n).astype(np.int64)
+
+
 def _open_uniforms(size: int, gen) -> np.ndarray:
     """Uniforms in the open interval (0, 1): exact zeros are redrawn."""
     u = np.array(gen.random(size), dtype=np.float64, copy=True)
@@ -236,9 +241,7 @@ def _sample_base(base: BaseMeasure, size: int, gen) -> np.ndarray:
     truncated run on the same stream.
     """
     if isinstance(base, EmpiricalBase):
-        support = base.ecdf.support
-        idx = (np.asarray(gen.random(size)) * support.size).astype(np.int64)
-        return support[idx]
+        return base.ecdf.support[_uniform_indices(base.ecdf.n, size, gen)]
     if isinstance(base, UniformBase):
         return base.lo + (base.hi - base.lo) * np.asarray(gen.random(size))
     if isinstance(base, NormalBase):

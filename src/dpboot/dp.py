@@ -9,6 +9,7 @@ process, which is what makes them useful as mutual oracles.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -121,6 +122,11 @@ def _require_sampleable(dp: DPParams):
         raise InvalidInputError("sampling requires alpha > 0")
 
 
+def _check_epsilon(epsilon: float):
+    if not 0.0 < epsilon < 1.0:
+        raise InvalidInputError("epsilon must lie strictly inside (0, 1)")
+
+
 def stick_break(dp: DPParams, epsilon: float, rng: RngStream) -> DiscreteMeasure:
     """Realize one draw from the process, truncated at leftover mass epsilon.
 
@@ -130,13 +136,16 @@ def stick_break(dp: DPParams, epsilon: float, rng: RngStream) -> DiscreteMeasure
     below epsilon, and that remainder is recorded as the residual.
     """
     _require_sampleable(dp)
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidInputError("epsilon must lie strictly inside (0, 1)")
-    return _stick_break(dp, epsilon, rng.generator())
+    _check_epsilon(epsilon)
+    draw = functools.partial(_sample_base, dp.base)
+    return DiscreteMeasure(*_stick_break(dp.alpha, epsilon, rng.generator(), draw))
 
 
-def _stick_break(dp: DPParams, epsilon: float, gen) -> DiscreteMeasure:
-    alpha = dp.alpha
+def _stick_break(alpha: float, epsilon: float, gen, draw) -> tuple:
+    """The stick-breaking loop: (atoms, weights, residual).
+
+    `draw(size, gen)` gives each block's atoms right after its sticks.
+    """
     block = int(min(_STICK_BLOCK_CAP, max(32, math.ceil(alpha * _STICK_BLOCK_LOG))))
     inv_alpha = 1.0 / alpha
     atom_runs, weight_runs = [], []
@@ -145,7 +154,7 @@ def _stick_break(dp: DPParams, epsilon: float, gen) -> DiscreteMeasure:
     while True:
         u = np.asarray(gen.random(block))
         v = 1.0 - u**inv_alpha
-        atoms = _sample_base(dp.base, block, gen)
+        atoms = draw(block, gen)
         remain = prefix * np.cumprod(1.0 - v)
         weights = v * np.concatenate(([prefix], remain[:-1]))
         hit = np.flatnonzero(remain < epsilon)
@@ -164,21 +173,20 @@ def _stick_break(dp: DPParams, epsilon: float, gen) -> DiscreteMeasure:
     all_atoms = np.concatenate(atom_runs)
     all_weights = np.concatenate(weight_runs)
     positive = all_weights > 0  # sticks of width 0 carry nothing
-    return DiscreteMeasure(all_atoms[positive], all_weights[positive], residual)
+    return all_atoms[positive], all_weights[positive], residual
 
 
 def measure_sample(measure: DiscreteMeasure, count: int, rng: RngStream) -> Dataset:
     """`count` IID draws from a truncated measure, residual renormalized away."""
     if count < 1:
         raise InvalidInputError("count must be at least 1")
-    return Dataset(_measure_draws(measure, count, rng.generator()))
+    return Dataset(measure.atoms[_measure_draws(measure.weights, count, rng.generator())])
 
 
-def _measure_draws(measure: DiscreteMeasure, count: int, gen) -> np.ndarray:
-    cum = np.cumsum(measure.weights)
+def _measure_draws(weights: np.ndarray, count: int, gen) -> np.ndarray:
+    cum = np.cumsum(weights)
     cum /= cum[-1]
-    idx = np.searchsorted(cum, np.asarray(gen.random(count)), side="right")
-    return measure.atoms[idx]
+    return np.searchsorted(cum, np.asarray(gen.random(count)), side="right")
 
 
 def polya_urn_predictive(dp: DPParams, count: int, rng: RngStream) -> Dataset:

@@ -94,19 +94,19 @@ def ks_two_sample(a, b) -> float:
 
 
 def wasserstein1(a, b) -> float:
-    """Average transport distance between two samples on the line.
+    """Exact transport distance between two samples on the line.
 
     Equal sizes: mean absolute difference of paired order statistics.
-    Unequal sizes: the two quantile functions are compared on a
-    midpoint grid at the finer sample's resolution.
+    Unequal sizes n and m: both quantile functions are constant between
+    consecutive points of {i/n} and {j/m}; integrate piece by piece.
     """
     xa = _sorted_sample(a, "first sample")
     xb = _sorted_sample(b, "second sample")
     if xa.size == xb.size:
         return float(np.abs(xa - xb).mean())
-    m = max(xa.size, xb.size)
-    q = (np.arange(m) + 0.5) / m
-    return float(np.abs(_quantile_at(xa, q) - _quantile_at(xb, q)).mean())
+    cuts = np.union1d(np.arange(xa.size + 1) / xa.size, np.arange(xb.size + 1) / xb.size)
+    q = 0.5 * (cuts[1:] + cuts[:-1])
+    return float((np.abs(_quantile_at(xa, q) - _quantile_at(xb, q)) * np.diff(cuts)).sum())
 
 
 def _quantile_at(sorted_values: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -152,6 +152,8 @@ def ks_critical(significance: float, n: int, m: Optional[int] = None) -> float:
     """
     if not 0.0 < significance < 1.0:
         raise InvalidInputError("significance must lie strictly inside (0, 1)")
+    if n < 1 or (m is not None and m < 1):
+        raise InvalidInputError("sample sizes must be at least 1")
     lo, hi = 0.05, 8.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -224,8 +226,8 @@ def compare(
     derived master seed, so comparing a scheme against itself is a
     clean null experiment.
     """
-    if threshold_factor <= 0:
-        raise InvalidInputError("threshold_factor must be positive")
+    if not (math.isfinite(threshold_factor) and threshold_factor > 0):
+        raise InvalidInputError("threshold_factor must be finite and positive")
     ens_a = make_ensemble(
         method_a, data, b, functional, epsilon, derive_seed(master_seed, _SALT_CROSS_A), workers
     )

@@ -8,6 +8,7 @@ order or degree of parallelism.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -21,9 +22,10 @@ from .core import (
     RngStream,
     _freeze,
     _open_uniforms,
+    _uniform_indices,
     apply_functional,
 )
-from .dp import _measure_draws, _stick_break, _urn_draws, dp0_posterior
+from .dp import _check_epsilon, _measure_draws, _stick_break, _urn_draws, dp0_posterior
 
 
 class Method(Enum):
@@ -36,10 +38,10 @@ class Method(Enum):
                            the exact finite-dimensional law of the
                            posterior masses at concentration n.
     DP_STICK_BREAK         stick-breaking realization of the DP(n, ecdf)
-                           posterior; the functional is taken of the
-                           realized measure itself (weighted atoms),
-                           i.e. the posterior law of the functional up
-                           to the truncation tolerance.
+                           posterior, its masses aggregated per observed
+                           point (ties split equally), functional taken
+                           weighted by them: the posterior law of the
+                           functional up to the truncation tolerance.
     DP_STICK_BREAK_POINTS  n IID points drawn from one realized
                            measure, functional taken unweighted.  Same
                            joint law as the urn scheme.  Point noise
@@ -57,14 +59,80 @@ class Method(Enum):
     POLYA_URN = "polya-urn"
 
 
+# Kernel builders: (data, DP(n, ecdf) posterior, epsilon) -> kernel, where
+# kernel(gen) returns one replication as (points, weights or None).
+
+
+def _frequentist(data, posterior, epsilon):
+    return lambda gen: (data.values[_uniform_indices(len(data), len(data), gen)], None)
+
+
+def _dirichlet(data, posterior, epsilon):
+    def kernel(gen):
+        e = -np.log(_open_uniforms(len(data), gen))
+        return data.values, e / e.sum()
+
+    return kernel
+
+
+def _support_sticks(posterior, epsilon, gen) -> tuple:
+    # Every atom of DP(n, ecdf) is an observation: the atoms are drawn
+    # as indices into the sorted support, from the uniforms that
+    # _sample_base would turn into the values themselves.
+    draw = functools.partial(_uniform_indices, posterior.base.ecdf.n)
+    return _stick_break(posterior.alpha, epsilon, gen, draw)
+
+
+def _stick_masses(data, posterior, epsilon):
+    ecdf = posterior.base.ecdf
+    distinct = np.repeat(np.arange(ecdf.values.size), ecdf.counts)  # support slot -> value
+    line = np.searchsorted(ecdf.values, data.values)
+    line_counts = ecdf.counts[line]
+
+    def kernel(gen):
+        idx, weights, _ = _support_sticks(posterior, epsilon, gen)
+        masses = np.bincount(distinct[idx], weights, ecdf.values.size) / weights.sum()
+        return data.values, masses[line] / line_counts
+
+    return kernel
+
+
+def _stick_points(data, posterior, epsilon):
+    support = posterior.base.ecdf.support
+
+    def kernel(gen):
+        idx, weights, _ = _support_sticks(posterior, epsilon, gen)
+        return support[idx[_measure_draws(weights, len(data), gen)]], None
+
+    return kernel
+
+
+def _urn(data, posterior, epsilon):
+    return lambda gen: (_urn_draws(posterior, len(data), gen), None)
+
+
+_KERNELS = {
+    Method.FREQUENTIST: _frequentist,
+    Method.BAYESIAN_DIRICHLET: _dirichlet,
+    Method.DP_STICK_BREAK: _stick_masses,
+    Method.DP_STICK_BREAK_POINTS: _stick_points,
+    Method.POLYA_URN: _urn,
+}
+
+
+def _kernel(method: Method, data: Dataset, epsilon: float = 1e-10):
+    """Kernel gen -> (points, weights or None) of one scheme on one dataset."""
+    if not isinstance(method, Method):
+        raise InvalidInputError("method must be a Method")
+    if not isinstance(data, Dataset):
+        raise InvalidInputError("data must be a Dataset")
+    _check_epsilon(epsilon)
+    return _KERNELS[method](data, dp0_posterior(data), epsilon)
+
+
 def frequentist_bootstrap(data: Dataset, rng: RngStream) -> Dataset:
     """Resample n observations uniformly with replacement."""
-    return Dataset(_freq_draws(data.values, rng.generator()))
-
-
-def _freq_draws(values: np.ndarray, gen) -> np.ndarray:
-    idx = (np.asarray(gen.random(values.size)) * values.size).astype(np.int64)
-    return values[idx]
+    return Dataset(_kernel(Method.FREQUENTIST, data)(rng.generator())[0])
 
 
 def bayesian_bootstrap_weights(n: int, rng: RngStream) -> np.ndarray:
@@ -75,21 +143,13 @@ def bayesian_bootstrap_weights(n: int, rng: RngStream) -> np.ndarray:
     """
     if n < 1:
         raise InvalidInputError("n must be at least 1")
-    return _dirichlet_weights(int(n), rng.generator())
-
-
-def _dirichlet_weights(n: int, gen) -> np.ndarray:
-    e = -np.log(_open_uniforms(n, gen))
-    return e / e.sum()
+    # The weights depend on n alone; any n-point dataset will do.
+    return _kernel(Method.BAYESIAN_DIRICHLET, Dataset(np.zeros(int(n))))(rng.generator())[1]
 
 
 def dp_bootstrap_sample(data: Dataset, epsilon: float, rng: RngStream) -> Dataset:
     """n IID points from a fresh stick-breaking realization of DP(n, ecdf)."""
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidInputError("epsilon must lie strictly inside (0, 1)")
-    gen = rng.generator()
-    measure = _stick_break(dp0_posterior(data), epsilon, gen)
-    return Dataset(_measure_draws(measure, len(data), gen))
+    return Dataset(_kernel(Method.DP_STICK_BREAK_POINTS, data, epsilon)(rng.generator())[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,42 +187,20 @@ def make_ensemble(
     is a pure function of the arguments; `workers` > 1 evaluates
     replications on a thread pool with identical output.
     """
-    if not isinstance(method, Method):
-        raise InvalidInputError("method must be a Method")
     if not isinstance(functional, Functional):
         raise InvalidInputError("functional must be a Functional")
-    if not isinstance(data, Dataset):
-        raise InvalidInputError("data must be a Dataset")
-    b = int(b)
-    if b < 1:
-        raise InvalidInputError("b must be at least 1")
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidInputError("epsilon must lie strictly inside (0, 1)")
+    if not isinstance(b, (int, np.integer)) or b < 1:
+        raise InvalidInputError("b must be an integer, at least 1")
     if workers < 1:
         raise InvalidInputError("workers must be at least 1")
-
-    n = len(data)
-    posterior = None
-    if method in (Method.DP_STICK_BREAK, Method.DP_STICK_BREAK_POINTS, Method.POLYA_URN):
-        posterior = dp0_posterior(data)
+    kernel = _kernel(method, data, epsilon)
 
     def replicate(i: int) -> float:
-        gen = RngStream(master_seed, i).generator()
-        if method is Method.FREQUENTIST:
-            return apply_functional(functional, _freq_draws(data.values, gen))
-        if method is Method.BAYESIAN_DIRICHLET:
-            return apply_functional(functional, data.values, _dirichlet_weights(n, gen))
-        if method is Method.DP_STICK_BREAK:
-            measure = _stick_break(posterior, epsilon, gen)
-            return apply_functional(functional, measure.atoms, measure.weights)
-        if method is Method.DP_STICK_BREAK_POINTS:
-            measure = _stick_break(posterior, epsilon, gen)
-            return apply_functional(functional, _measure_draws(measure, n, gen))
-        return apply_functional(functional, _urn_draws(posterior, n, gen))
+        return apply_functional(functional, *kernel(RngStream(master_seed, i).generator()))
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             values = np.fromiter(pool.map(replicate, range(b)), dtype=np.float64, count=b)
     else:
         values = np.fromiter(map(replicate, range(b)), dtype=np.float64, count=b)
-    return Ensemble(method, functional, values, int(master_seed), n, b)
+    return Ensemble(method, functional, values, int(master_seed), len(data), int(b))

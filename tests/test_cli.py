@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from dpboot import Dataset, RngStream, atom_masses, dp0_posterior, ecdf_build, stick_break
 from dpboot.cli import main
 
 
@@ -57,6 +58,31 @@ def test_resample_stick_weights_sum_to_one(tmp_path, capsys):
     assert len(weights) == 4
     assert abs(sum(weights) - 1.0) <= 1e-12
     assert weights[1] == weights[2]
+
+
+@pytest.mark.parametrize("seed", [0, 4, 17])
+def test_resample_stick_weights_split_atom_masses_over_tied_lines(tmp_path, capsys, seed):
+    # Oracle: the realized measure's mass on each distinct value, split
+    # equally over the input lines holding that value.
+    values = [2.0, 1.0, 2.0, 4.0, 1.0, 2.0, 3.5]
+    path = tmp_path / "tied.txt"
+    path.write_text("".join(f"{v!r}\n" for v in values))
+    argv = ["resample", "--input", str(path), "--method", "dp-stickbreak", "--seed", str(seed)]
+    assert main(argv + ["--epsilon", "1e-8"]) == 0
+    data = Dataset(values)
+    ecdf = ecdf_build(data)
+    measure = stick_break(dp0_posterior(data), 1e-8, RngStream(seed, 0))
+    line = np.searchsorted(ecdf.values, data.values)
+    expected = atom_masses(measure, ecdf.values)[line] / ecdf.counts[line]
+    assert capsys.readouterr().out == "".join(f"{v:.17g}\n" for v in expected)
+
+
+def test_resample_rejects_bad_epsilon_for_every_method(sample_file, capsys):
+    for method in ("frequentist", "bayesian", "dp-stickbreak", "dp-stickbreak-points", "polya-urn"):
+        for epsilon in ("5", "0", "nan"):
+            argv = ["resample", "--input", sample_file, "--method", method, "--epsilon", epsilon]
+            assert main(argv) == 2
+            assert "epsilon" in capsys.readouterr().err
 
 
 def test_resample_points_stay_in_support(tmp_path, sample_file, capsys):
@@ -192,6 +218,17 @@ def test_compare_json_mirrors_csv(tmp_path, sample_file, capsys):
     }
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_compare_rejects_non_finite_threshold(sample_file, capsys, threshold):
+    argv = [
+        "compare", "--input", sample_file,
+        "--method-a", "frequentist", "--method-b", "dp-stickbreak",
+        "--b", "50", f"--threshold={threshold}",
+    ]
+    assert main(argv) == 2
+    assert "threshold" in capsys.readouterr().err
+
+
 def test_compare_rejects_unknown_functional(tmp_path, sample_file, capsys):
     argv = [
         "compare", "--input", sample_file,
@@ -244,3 +281,12 @@ def test_experiment_errors(capsys):
     assert main([
         "experiment", "--n-grid", "10", "--generator", "lognormal:0,1", "--b", "50",
     ]) == 2
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf"])
+def test_experiment_rejects_non_finite_threshold(capsys, threshold):
+    assert main([
+        "experiment", "--n-grid", "10", "--generator", "uniform:0,1", "--b", "50",
+        "--threshold", threshold,
+    ]) == 2
+    assert "threshold" in capsys.readouterr().err

@@ -100,10 +100,19 @@ def test_w1_examples():
     assert wasserstein1([0.0, 1.0], [1.0, 2.0]) == 1.0
 
 
-def test_w1_unequal_lengths_quantile_midpoint_grid():
-    # Grid at resolution 3: levels 1/6, 1/2, 5/6.  Quantiles of [0,1]
-    # there are 0, 0, 1; of [0,1,2] they are 0, 1, 2.  Mean gap = 2/3.
-    assert wasserstein1([0.0, 1.0], [0.0, 1.0, 2.0]) == pytest.approx(2 / 3, abs=1e-15)
+def test_w1_unequal_lengths_merged_breakpoints():
+    # Breakpoints 0, 1/3, 1/2, 2/3, 1.  Quantiles of [0,1] on the four
+    # pieces are 0, 0, 1, 1; of [0,1,2] they are 0, 1, 1, 2.  The gap
+    # is 1 on (1/3, 1/2] and (2/3, 1]: total 1/6 + 1/3 = 1/2.
+    assert wasserstein1([0.0, 1.0], [0.0, 1.0, 2.0]) == pytest.approx(0.5, abs=1e-15)
+
+
+def test_w1_unequal_lengths_match_cdf_area_oracle():
+    gen = RngStream(5, 0).generator()
+    for _ in range(25):
+        a = list(gen.random(1 + int(gen.random() * 12)) * 4)
+        b = list(gen.random(1 + int(gen.random() * 12)) * 4)
+        assert abs(wasserstein1(a, b) - brute_w1_cdf_area(a, b)) <= 1e-12
 
 
 def test_w1_equal_lengths_match_cdf_area_oracle():
@@ -167,6 +176,12 @@ def test_ks_critical_scalings():
     assert ks_critical(0.01, 5000) == pytest.approx(1.6276 / math.sqrt(5000), abs=1e-5)
     with pytest.raises(InvalidInputError):
         ks_critical(0.0, 10)
+
+
+@pytest.mark.parametrize("n, m", [(0, None), (-1, None), (0, 10), (10, 0)])
+def test_ks_critical_rejects_empty_samples(n, m):
+    with pytest.raises(InvalidInputError):
+        ks_critical(0.01, n, m)
 
 
 def test_null_ks_exceedance_small_run():
@@ -274,6 +289,13 @@ def test_compare_validation():
         compare(Method.FREQUENTIST, Method.FREQUENTIST, data, b=50, threshold_factor=0.0)
 
 
+@pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf])
+def test_compare_rejects_non_finite_threshold(factor):
+    data = Dataset([1.0, 2.0])
+    with pytest.raises(InvalidInputError):
+        compare(Method.FREQUENTIST, Method.FREQUENTIST, data, b=50, threshold_factor=factor)
+
+
 # ---------------------------------------------------------------------------
 # Convergence experiment
 
@@ -304,3 +326,30 @@ def test_convergence_validation():
         convergence_experiment([10, 10], UniformBase(0, 1), b=100)
     with pytest.raises(InvalidInputError):
         convergence_experiment([10], "uniform", b=100)
+
+
+# ---------------------------------------------------------------------------
+# scipy as an independent oracle (test-only dependency)
+
+
+def test_w1_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    gen = RngStream(6, 0).generator()
+    for size_a, size_b in [(7, 11), (11, 7), (1, 5), (40, 40), (200, 333)]:
+        a, b = gen.random(size_a), gen.standard_normal(size_b)
+        assert wasserstein1(a, b) == pytest.approx(stats.wasserstein_distance(a, b), abs=1e-12)
+
+
+def test_ks_two_sample_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    gen = RngStream(7, 0).generator()
+    for size_a, size_b in [(7, 11), (25, 25), (300, 120)]:
+        a = np.round(gen.random(size_a) * 20)  # ties across and within samples
+        b = np.round(gen.random(size_b) * 20 + 1)
+        assert ks_two_sample(a, b) == pytest.approx(stats.ks_2samp(a, b).statistic, abs=1e-15)
+
+
+def test_kolmogorov_sf_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    for t in np.linspace(0.06, 4.0, 60):
+        assert kolmogorov_sf(t) == pytest.approx(stats.kstwobign.sf(t), abs=1e-12)

@@ -182,6 +182,12 @@ def test_make_ensemble_validation():
         make_ensemble(Method.FREQUENTIST, data, 5, MEAN, workers=0)
 
 
+@pytest.mark.parametrize("b", [2.5, math.nan, "2"])
+def test_make_ensemble_rejects_non_integral_b(b):
+    with pytest.raises(InvalidInputError):
+        make_ensemble(Method.FREQUENTIST, Dataset([1.0, 2.0]), b, MEAN)
+
+
 def test_ensemble_validation():
     with pytest.raises(InvalidInputError):
         Ensemble(Method.FREQUENTIST, MEAN, np.array([1.0, 2.0]), 0, 2, 3)
