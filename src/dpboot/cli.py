@@ -126,14 +126,8 @@ def _describe_base(base) -> list:
 
 def _cmd_posterior(args) -> int:
     data = _read_dataset(args.input)
-    if args.alpha < 0:
-        raise CliError("alpha must be nonnegative")
-    if args.alpha == 0 or args.base == "none":
-        if args.alpha > 0:
-            raise CliError("a prior base is required when alpha > 0")
-        posterior = dp0_posterior(data)
-    else:
-        posterior = conjugate_update(DPParams(args.alpha, _parse_base(args.base)), data)
+    prior = DPParams(args.alpha, None if args.base == "none" else _parse_base(args.base))
+    posterior = dp0_posterior(data) if prior.alpha == 0 else conjugate_update(prior, data)
     payload = {
         "alpha_posterior": float(posterior.alpha),
         "mixture": _describe_base(posterior.base),
@@ -258,7 +252,8 @@ def _add_comparison_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--reps", type=int, default=5, help="self-calibration pair count")
     parser.add_argument("--epsilon", type=float, default=1e-10)
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--workers", type=int, default=1, help="replication threads")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="accepted for compatibility; never changes output")
     parser.add_argument("--output", default="-")
 
 

@@ -37,6 +37,13 @@ def _as_finite_array(values, what: str) -> np.ndarray:
     return arr
 
 
+def _check_count(value, name: str, minimum: int = 1) -> int:
+    """`value` as an int; it must be an int or numpy integer >= `minimum`."""
+    if not isinstance(value, (int, np.integer)) or value < minimum:
+        raise InvalidInputError(f"{name} must be an integer, at least {minimum}")
+    return int(value)
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, copy=True)
     out.flags.writeable = False

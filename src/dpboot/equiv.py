@@ -27,6 +27,7 @@ from .core import (
     MEAN,
     RngStream,
     _as_finite_array,
+    _check_count,
     _sample_base,
     derive_seed,
 )
@@ -193,10 +194,10 @@ def self_calibrate(
     """Distance noise floor between independent runs of one scheme.
 
     Builds reps+1 ensembles on derived seeds and reports the distance
-    between each consecutive pair: `reps` reports in total.
+    between each consecutive pair: `reps` reports in total.  `workers`
+    is accepted for compatibility and never changes output.
     """
-    if reps < 3:
-        raise InvalidInputError("reps must be at least 3")
+    reps = _check_count(reps, "reps", 3)
     ensembles = [
         make_ensemble(method, data, b, functional, epsilon, derive_seed(master_seed, i), workers)
         for i in range(reps + 1)
@@ -223,11 +224,16 @@ def compare(
 
     One ensemble per scheme gives the cross distance; the baseline is
     the self-calibration of scheme A.  Every ensemble gets its own
-    derived master seed, so comparing a scheme against itself is a
-    clean null experiment.
+    derived master seed, so comparing a scheme against itself is a clean
+    null experiment.  `workers` is accepted for compatibility and never
+    changes output.
     """
     if not (math.isfinite(threshold_factor) and threshold_factor > 0):
         raise InvalidInputError("threshold_factor must be finite and positive")
+    # Baseline first, so a bad `reps` fails before any ensemble is built.
+    baseline = self_calibrate(
+        method_a, data, b, functional, epsilon, derive_seed(master_seed, _SALT_SELF), reps, workers
+    )
     ens_a = make_ensemble(
         method_a, data, b, functional, epsilon, derive_seed(master_seed, _SALT_CROSS_A), workers
     )
@@ -235,9 +241,6 @@ def compare(
         method_b, data, b, functional, epsilon, derive_seed(master_seed, _SALT_CROSS_B), workers
     )
     cross = _distance(ens_a.values, ens_b.values)
-    baseline = self_calibrate(
-        method_a, data, b, functional, epsilon, derive_seed(master_seed, _SALT_SELF), reps, workers
-    )
     return EquivalenceReport(
         cross, baseline, threshold_factor, equivalence_verdict(cross, baseline, threshold_factor)
     )
@@ -268,11 +271,12 @@ def convergence_experiment(
 
     Each row draws a fresh dataset of size n from the generator (rows
     are independent, never nested subsets) and runs the calibrated
-    comparison on it.  Rows come back in grid order.
+    comparison on it.  Rows come back in grid order.  `workers` is
+    accepted for compatibility and never changes output.
     """
-    grid = [int(n) for n in n_grid]
-    if not grid or any(n < 1 for n in grid):
-        raise InvalidInputError("n_grid must be nonempty with positive sizes")
+    grid = [_check_count(n, "n_grid entries") for n in n_grid]
+    if not grid:
+        raise InvalidInputError("n_grid must be nonempty")
     if any(second <= first for first, second in zip(grid, grid[1:])):
         raise InvalidInputError("n_grid must be strictly increasing")
     if not isinstance(generator, BaseMeasure):

@@ -2,14 +2,12 @@
 
 An ensemble is B replicated values of one functional under one scheme.
 Replication i consumes RngStream(master_seed, i) and nothing else, so
-ensembles are reproducible bit-for-bit and independent of execution
-order or degree of parallelism.
+ensembles are reproducible bit-for-bit in any execution order.
 """
 
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,6 +18,7 @@ from .core import (
     Functional,
     InvalidInputError,
     RngStream,
+    _check_count,
     _freeze,
     _open_uniforms,
     _uniform_indices,
@@ -141,10 +140,9 @@ def bayesian_bootstrap_weights(n: int, rng: RngStream) -> np.ndarray:
     Unit exponentials (-log of uniforms) normalized by their sum;
     strictly positive, summing to 1.
     """
-    if n < 1:
-        raise InvalidInputError("n must be at least 1")
     # The weights depend on n alone; any n-point dataset will do.
-    return _kernel(Method.BAYESIAN_DIRICHLET, Dataset(np.zeros(int(n))))(rng.generator())[1]
+    data = Dataset(np.zeros(_check_count(n, "n")))
+    return _kernel(Method.BAYESIAN_DIRICHLET, data)(rng.generator())[1]
 
 
 def dp_bootstrap_sample(data: Dataset, epsilon: float, rng: RngStream) -> Dataset:
@@ -184,23 +182,18 @@ def make_ensemble(
     """Generate the B replicated functional values of one scheme.
 
     Replication i draws from RngStream(master_seed, i), so the result
-    is a pure function of the arguments; `workers` > 1 evaluates
-    replications on a thread pool with identical output.
+    is a pure function of the arguments.  Every replication runs on the
+    calling thread; `workers` is accepted for compatibility and never
+    changes output.
     """
     if not isinstance(functional, Functional):
         raise InvalidInputError("functional must be a Functional")
-    if not isinstance(b, (int, np.integer)) or b < 1:
-        raise InvalidInputError("b must be an integer, at least 1")
-    if workers < 1:
-        raise InvalidInputError("workers must be at least 1")
+    b = _check_count(b, "b")
+    _check_count(workers, "workers")
     kernel = _kernel(method, data, epsilon)
 
     def replicate(i: int) -> float:
         return apply_functional(functional, *kernel(RngStream(master_seed, i).generator()))
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = np.fromiter(pool.map(replicate, range(b)), dtype=np.float64, count=b)
-    else:
-        values = np.fromiter(map(replicate, range(b)), dtype=np.float64, count=b)
-    return Ensemble(method, functional, values, int(master_seed), len(data), int(b))
+    values = np.fromiter(map(replicate, range(b)), dtype=np.float64, count=b)
+    return Ensemble(method, functional, values, int(master_seed), len(data), b)

@@ -160,6 +160,16 @@ def test_posterior_errors(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("# nothing here\n")
     assert main(["posterior", "--input", str(empty), "--alpha", "0"]) == 2
+    capsys.readouterr()
+
+    for alpha in ("nan", "inf"):
+        for base in ([], ["--base", "normal:0,1"]):
+            assert main(["posterior", "--input", str(path), "--alpha", alpha] + base) == 2
+            assert "alpha" in capsys.readouterr().err
+
+    # A malformed base is rejected even where alpha = 0 makes it unused.
+    assert main(["posterior", "--input", str(path), "--alpha", "0", "--base", "normal:0,-1"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +209,25 @@ def test_compare_parallelism_does_not_change_bytes(tmp_path, sample_file):
     _, solo = _run_to_file(tmp_path, "w1.csv", base + ["--workers", "1"])
     _, pooled = _run_to_file(tmp_path, "w2.csv", base + ["--workers", "3"])
     assert solo == pooled
+
+
+def test_replications_start_no_threads(tmp_path, sample_file, monkeypatch):
+    import threading
+
+    from dpboot import MEAN, Method, make_ensemble
+
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    ens = make_ensemble(Method.FREQUENTIST, Dataset([1.0, 2.0, 4.0]), 50, MEAN, workers=4)
+    assert ens.b == 50
+    argv = [
+        "compare", "--input", sample_file,
+        "--method-a", "frequentist", "--method-b", "bayesian",
+        "--b", "100", "--workers", "3",
+    ]
+    assert _run_to_file(tmp_path, "threads.csv", argv)[0] == 0
 
 
 def test_compare_json_mirrors_csv(tmp_path, sample_file, capsys):

@@ -27,6 +27,7 @@ from dpboot import (
     parse_functional,
     quantile,
 )
+from dpboot.core import _sample_base
 
 
 def _ecdf_of(values):
@@ -141,6 +142,14 @@ def test_base_sample_mixture_component_selection():
 
 def test_base_sample_normal_median():
     assert base_sample(NormalBase(3.0, 2.0), ForcedStream(value=0.5)) == pytest.approx(3.0)
+
+
+def test_base_sample_normal_matches_scipy_ndtri():
+    special = pytest.importorskip("scipy.special")
+    u = np.array([1e-300, 1e-12, 1e-6, 0.01, 0.2, 0.5, 0.75, 0.975, 1 - 1e-9, 1 - 2**-53])
+    for mu, sd in ((0.0, 1.0), (3.0, 2.0), (-1e3, 0.25)):
+        got = _sample_base(NormalBase(mu, sd), u.size, ForcedStream(sequence=u).generator())
+        np.testing.assert_allclose(got, mu + sd * special.ndtri(u), rtol=1e-12, atol=1e-12)
 
 
 def test_empirical_sampling_respects_support_and_multiplicity():

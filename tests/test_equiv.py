@@ -228,6 +228,9 @@ def test_self_calibrate_validation():
     data = Dataset([1.0, 2.0])
     with pytest.raises(InvalidInputError):
         self_calibrate(Method.FREQUENTIST, data, 10, MEAN, reps=2)
+    for reps in (3.5, math.nan, "3"):
+        with pytest.raises(InvalidInputError):
+            self_calibrate(Method.FREQUENTIST, data, 10, MEAN, reps=reps)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +290,20 @@ def test_compare_validation():
     data = Dataset([1.0, 2.0])
     with pytest.raises(InvalidInputError):
         compare(Method.FREQUENTIST, Method.FREQUENTIST, data, b=50, threshold_factor=0.0)
+    for reps in (2, 3.5, math.nan, "3"):
+        with pytest.raises(InvalidInputError):
+            compare(Method.FREQUENTIST, Method.FREQUENTIST, data, b=50, reps=reps)
+
+
+def test_compare_rejects_reps_before_building_ensembles(monkeypatch):
+    import dpboot.equiv
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("an ensemble was built before reps was checked")
+
+    monkeypatch.setattr(dpboot.equiv, "make_ensemble", unexpected)
+    with pytest.raises(InvalidInputError):
+        compare(Method.FREQUENTIST, Method.DP_STICK_BREAK, Dataset([1.0, 2.0]), b=50, reps=2)
 
 
 @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf])
@@ -326,6 +343,9 @@ def test_convergence_validation():
         convergence_experiment([10, 10], UniformBase(0, 1), b=100)
     with pytest.raises(InvalidInputError):
         convergence_experiment([10], "uniform", b=100)
+    for size in (0, 10.7, math.nan, "10"):
+        with pytest.raises(InvalidInputError):
+            convergence_experiment([size], UniformBase(0, 1), b=100)
 
 
 # ---------------------------------------------------------------------------

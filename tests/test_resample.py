@@ -86,6 +86,8 @@ def test_weights_first_coordinate_is_beta():
 def test_weights_validation():
     with pytest.raises(InvalidInputError):
         bayesian_bootstrap_weights(0, RngStream(0, 0))
+    with pytest.raises(InvalidInputError):
+        bayesian_bootstrap_weights(2.5, RngStream(0, 0))
 
 
 def test_weighted_mean_law_is_permutation_invariant():
@@ -182,10 +184,20 @@ def test_make_ensemble_validation():
         make_ensemble(Method.FREQUENTIST, data, 5, MEAN, workers=0)
 
 
-@pytest.mark.parametrize("b", [2.5, math.nan, "2"])
-def test_make_ensemble_rejects_non_integral_b(b):
+@pytest.mark.parametrize("count", [2.5, math.nan, "2", 2.0, np.float64(3.0)])
+def test_make_ensemble_rejects_non_integral_b(count):
+    # b and workers share one integer check.
+    data = Dataset([1.0, 2.0])
     with pytest.raises(InvalidInputError):
-        make_ensemble(Method.FREQUENTIST, Dataset([1.0, 2.0]), b, MEAN)
+        make_ensemble(Method.FREQUENTIST, data, count, MEAN)
+    with pytest.raises(InvalidInputError):
+        make_ensemble(Method.FREQUENTIST, data, 5, MEAN, workers=count)
+
+
+def test_make_ensemble_accepts_numpy_integer_counts():
+    data = Dataset([1.0, 2.0])
+    ens = make_ensemble(Method.FREQUENTIST, data, np.int64(3), MEAN, workers=np.int32(2))
+    assert ens.b == 3 and type(ens.b) is int
 
 
 def test_ensemble_validation():
