@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .core import (
     Dataset,
@@ -43,13 +44,6 @@ from .resample import frequentist_bootstrap  # noqa: F401
 
 class CliError(Exception):
     """User-facing failure; exits with status 2."""
-
-
-def _u64(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 1 << 64:
-        raise argparse.ArgumentTypeError("seed must be an unsigned 64-bit integer")
-    return value
 
 
 def _read_dataset(path: str) -> Dataset:
@@ -97,10 +91,6 @@ def _parse_base(text: str):
     raise CliError(f"unknown base kind: {kind!r}")
 
 
-def _float_repr(x) -> str:
-    return repr(float(x))
-
-
 def _cmd_resample(args) -> int:
     kernel = _kernel(Method(args.method), _read_dataset(args.input), args.epsilon)
     points, weights = kernel(RngStream(args.seed, 0).generator())
@@ -137,21 +127,6 @@ def _cmd_posterior(args) -> int:
     return 0
 
 
-_COMPARE_COLUMNS = (
-    "method_a",
-    "method_b",
-    "n",
-    "b",
-    "functional",
-    "cross_ks",
-    "cross_w1",
-    "self_ks_median",
-    "self_w1_median",
-    "threshold",
-    "verdict",
-)
-
-
 def _cmd_compare(args) -> int:
     data = _read_dataset(args.input)
     functional = parse_functional(args.functional)
@@ -180,29 +155,8 @@ def _cmd_compare(args) -> int:
         "threshold": float(args.threshold),
         "verdict": report.verdict.value,
     }
-    if args.format == "json":
-        text = json.dumps(row, indent=2) + "\n"
-    else:
-        cells = [_format_cell(row[name]) for name in _COMPARE_COLUMNS]
-        text = ",".join(_COMPARE_COLUMNS) + "\n" + ",".join(cells) + "\n"
-    _write_text(args.output, text)
+    _write_table(args, row)
     return 0
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return _float_repr(value)
-    return str(value)
-
-
-_EXPERIMENT_COLUMNS = (
-    "n",
-    "cross_ks",
-    "cross_w1",
-    "self_ks_median",
-    "self_w1_median",
-    "verdict",
-)
 
 
 def _cmd_experiment(args) -> int:
@@ -221,32 +175,35 @@ def _cmd_experiment(args) -> int:
         reps=args.reps,
         workers=args.workers,
     )
-    records = [
-        {
-            "n": row.n,
-            "cross_ks": float(row.cross_ks),
-            "cross_w1": float(row.cross_w1),
-            "self_ks_median": float(row.self_ks_median),
-            "self_w1_median": float(row.self_w1_median),
-            "verdict": row.verdict.value,
-        }
-        for row in rows
-    ]
+    _write_table(args, [{**asdict(row), "verdict": row.verdict.value} for row in rows])
+    return 0
+
+
+def _write_table(args, table):
+    """Write one record (a dict) or a list of records as CSV or JSON.
+
+    JSON keeps the shape given; CSV has one header line, with the
+    columns in the records' key order, then one line per record.
+    """
     if args.format == "json":
-        text = json.dumps(records, indent=2) + "\n"
+        text = json.dumps(table, indent=2) + "\n"
     else:
-        lines = [",".join(_EXPERIMENT_COLUMNS)]
+        records = [table] if isinstance(table, dict) else table
+        lines = [",".join(records[0])]
         for record in records:
-            lines.append(",".join(_format_cell(record[name]) for name in _EXPERIMENT_COLUMNS))
+            lines.append(",".join(_format_cell(value) for value in record.values()))
         text = "\n".join(lines) + "\n"
     _write_text(args.output, text)
-    return 0
+
+
+def _format_cell(value) -> str:
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 def _add_comparison_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--b", type=int, default=2000, help="replications per ensemble")
     parser.add_argument("--functional", default="mean", help="mean | median | sd | q:P")
-    parser.add_argument("--seed", type=_u64, default=0)
+    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threshold", type=float, default=2.0,
                         help="verdict factor over the self-distance median")
     parser.add_argument("--reps", type=int, default=5, help="self-calibration pair count")
@@ -268,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     resample = sub.add_parser("resample", help="emit one resample or weight vector")
     resample.add_argument("--input", required=True)
     resample.add_argument("--method", required=True, choices=methods)
-    resample.add_argument("--seed", type=_u64, default=0)
+    resample.add_argument("--seed", type=int, default=0)
     resample.add_argument("--epsilon", type=float, default=1e-10)
     resample.add_argument("--output", default="-")
     resample.set_defaults(handler=_cmd_resample)
@@ -302,10 +259,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (CliError, InvalidInputError) as exc:
-        print(f"dpboot: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CliError, InvalidInputError, OSError) as exc:
         print(f"dpboot: {exc}", file=sys.stderr)
         return 2
 

@@ -10,6 +10,7 @@ them.
 from __future__ import annotations
 
 import math
+import numbers
 import statistics
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,10 +30,13 @@ class InvalidInputError(ValueError):
 
 
 def _as_finite_array(values, what: str) -> np.ndarray:
+    """`values` as a nonempty one-dimensional array of finite floats."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise InvalidInputError(f"{what} must be one-dimensional")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size == 0:
+        raise InvalidInputError(f"{what} must be nonempty")
+    if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{what} must be finite (no NaN or inf)")
     return arr
 
@@ -42,6 +46,19 @@ def _check_count(value, name: str, minimum: int = 1) -> int:
     if not isinstance(value, (int, np.integer)) or value < minimum:
         raise InvalidInputError(f"{name} must be an integer, at least {minimum}")
     return int(value)
+
+
+def _check_seed(value, name: str = "seed") -> int:
+    """`value` as an int; it must be an int or numpy integer in [0, 2**64)."""
+    if not isinstance(value, (int, np.integer)) or not 0 <= int(value) <= _MASK64:
+        raise InvalidInputError(f"{name} must be an unsigned 64-bit integer")
+    return int(value)
+
+
+def _check_open_unit(value, name: str):
+    """`value` must be a real number in the open interval (0, 1)."""
+    if not isinstance(value, numbers.Real) or not 0.0 < value < 1.0:
+        raise InvalidInputError(f"{name} must lie strictly inside (0, 1)")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -70,9 +87,7 @@ class RngStream:
 
     def __post_init__(self):
         for name in ("master_seed", "stream_id"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or not 0 <= int(value) <= _MASK64:
-                raise InvalidInputError(f"{name} must be an unsigned 64-bit integer")
+            _check_seed(getattr(self, name), name)
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of the stream."""
@@ -85,7 +100,9 @@ def derive_seed(seed: int, index: int) -> int:
 
     Fans one configured seed out into non-colliding sub-experiments,
     e.g. the independent ensembles inside a calibrated comparison.
+    Both arguments must be unsigned 64-bit integers.
     """
+    seed, index = _check_seed(seed), _check_seed(index, "index")
     z = (seed + (index + 1) * _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -118,10 +135,7 @@ class Dataset:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _as_finite_array(self.values, "dataset")
-        if arr.size == 0:
-            raise InvalidInputError("dataset must hold at least one observation")
-        object.__setattr__(self, "values", _freeze(arr))
+        object.__setattr__(self, "values", _freeze(_as_finite_array(self.values, "dataset")))
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -136,13 +150,11 @@ class EmpiricalCDF:
     n: int
 
     def __post_init__(self):
-        values = _freeze(np.asarray(self.values, dtype=np.float64))
+        values = _freeze(_as_finite_array(self.values, "ECDF values"))
         counts = _freeze(np.asarray(self.counts, dtype=np.int64))
-        if values.size == 0 or values.size != counts.size:
-            raise InvalidInputError("ECDF needs matching nonempty values and counts")
-        if not np.all(np.isfinite(values)):
-            raise InvalidInputError("ECDF values must be finite")
-        if values.size > 1 and not np.all(np.diff(values) > 0):
+        if values.size != counts.size:
+            raise InvalidInputError("ECDF needs matching values and counts")
+        if not np.all(np.diff(values) > 0):
             raise InvalidInputError("ECDF values must be strictly increasing")
         if not np.all(counts >= 1):
             raise InvalidInputError("ECDF counts must be positive")
@@ -314,8 +326,8 @@ class DiscreteMeasure:
     def __post_init__(self):
         atoms = _freeze(_as_finite_array(self.atoms, "atoms"))
         weights = _freeze(_as_finite_array(self.weights, "weights"))
-        if atoms.size == 0 or atoms.size != weights.size:
-            raise InvalidInputError("atoms and weights must be nonempty and matched")
+        if atoms.size != weights.size:
+            raise InvalidInputError("atoms and weights must be matched")
         if not (np.all(weights > 0) and np.all(weights <= 1)):
             raise InvalidInputError("weights must lie in (0, 1]")
         residual = float(self.residual)
@@ -349,8 +361,7 @@ class Functional:
         if self.kind not in _FUNCTIONAL_KINDS:
             raise InvalidInputError(f"unknown functional kind: {self.kind!r}")
         if self.kind == "quantile":
-            if self.p is None or not math.isfinite(self.p) or not 0.0 < self.p < 1.0:
-                raise InvalidInputError("quantile level must lie strictly inside (0, 1)")
+            _check_open_unit(self.p, "quantile level")
         elif self.p is not None:
             raise InvalidInputError(f"{self.kind} takes no level parameter")
 
@@ -390,11 +401,9 @@ def apply_functional(functional: Functional, values, weights=None) -> float:
     forms agree under uniform weights.
     """
     y = _as_finite_array(values, "sample")
-    if y.size == 0:
-        raise InvalidInputError("sample must be nonempty")
-    w = None
-    total = float(y.size)
-    if weights is not None:
+    if weights is None:  # uniform weights: one arithmetic path for both
+        w, total = np.ones(y.size), float(y.size)
+    else:
         w = _as_finite_array(weights, "weights")
         if w.size != y.size:
             raise InvalidInputError("weights must match the sample length")
@@ -404,29 +413,20 @@ def apply_functional(functional: Functional, values, weights=None) -> float:
         if total <= 0:
             raise InvalidInputError("weights must not all be zero")
 
-    # Means and deviations are accumulated around y[0]; same arithmetic
-    # for the weighted and unweighted paths, and exact on constant data.
+    # Means and deviations are accumulated around y[0], which makes
+    # them exact on constant data.
     anchor = float(y[0])
     centered = y - anchor
 
     kind = functional.kind
     if kind == "mean":
-        if w is None:
-            return anchor + float(centered.mean())
         return anchor + float((w * centered).sum() / total)
     if kind == "sd":
-        if w is None:
-            dev = centered - centered.mean()
-            return float(math.sqrt((dev * dev).mean()))
         dev = centered - (w * centered).sum() / total
         return float(math.sqrt(((dev * dev) * w).sum() / total))
 
     p = 0.5 if kind == "median" else float(functional.p)
     order = np.argsort(y, kind="stable")
-    ys = y[order]
-    if w is None:
-        cum = np.arange(1, ys.size + 1, dtype=np.float64) / ys.size
-    else:
-        cum = np.cumsum(w[order]) / total
+    cum = np.cumsum(w[order]) / total
     idx = int(np.searchsorted(cum, p, side="left"))
-    return float(ys[min(idx, ys.size - 1)])
+    return float(y[order[min(idx, y.size - 1)]])

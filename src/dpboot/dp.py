@@ -24,6 +24,8 @@ from .core import (
     InvalidInputError,
     MixtureBase,
     RngStream,
+    _check_count,
+    _check_open_unit,
     _sample_base,
     ecdf_build,
 )
@@ -122,11 +124,6 @@ def _require_sampleable(dp: DPParams):
         raise InvalidInputError("sampling requires alpha > 0")
 
 
-def _check_epsilon(epsilon: float):
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidInputError("epsilon must lie strictly inside (0, 1)")
-
-
 def stick_break(dp: DPParams, epsilon: float, rng: RngStream) -> DiscreteMeasure:
     """Realize one draw from the process, truncated at leftover mass epsilon.
 
@@ -136,7 +133,7 @@ def stick_break(dp: DPParams, epsilon: float, rng: RngStream) -> DiscreteMeasure
     below epsilon, and that remainder is recorded as the residual.
     """
     _require_sampleable(dp)
-    _check_epsilon(epsilon)
+    _check_open_unit(epsilon, "epsilon")
     draw = functools.partial(_sample_base, dp.base)
     return DiscreteMeasure(*_stick_break(dp.alpha, epsilon, rng.generator(), draw))
 
@@ -178,8 +175,7 @@ def _stick_break(alpha: float, epsilon: float, gen, draw) -> tuple:
 
 def measure_sample(measure: DiscreteMeasure, count: int, rng: RngStream) -> Dataset:
     """`count` IID draws from a truncated measure, residual renormalized away."""
-    if count < 1:
-        raise InvalidInputError("count must be at least 1")
+    count = _check_count(count, "count")
     return Dataset(measure.atoms[_measure_draws(measure.weights, count, rng.generator())])
 
 
@@ -197,8 +193,7 @@ def polya_urn_predictive(dp: DPParams, count: int, rng: RngStream) -> Dataset:
     draw.  The first draw is always fresh.
     """
     _require_sampleable(dp)
-    if count < 1:
-        raise InvalidInputError("count must be at least 1")
+    count = _check_count(count, "count")
     return Dataset(_urn_draws(dp, count, rng.generator()))
 
 

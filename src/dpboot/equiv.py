@@ -28,10 +28,11 @@ from .core import (
     RngStream,
     _as_finite_array,
     _check_count,
+    _check_open_unit,
     _sample_base,
     derive_seed,
 )
-from .resample import Method, make_ensemble
+from .resample import Method, _kernel, make_ensemble
 
 # Sub-seed slots used inside compare(); every generated ensemble gets
 # its own derived master seed so that compare(X, X) is a true null
@@ -73,21 +74,14 @@ class EquivalenceReport:
         return float(np.median([r.wasserstein1 for r in self.self_baseline]))
 
 
-def _sorted_sample(values, what: str) -> np.ndarray:
-    arr = _as_finite_array(values, what)
-    if arr.size == 0:
-        raise InvalidInputError(f"{what} must be nonempty")
-    return np.sort(arr)
-
-
 def ks_two_sample(a, b) -> float:
     """Exact sup-distance between two empirical CDFs.
 
     Both step functions are evaluated at every pooled sample point,
     which is where the supremum of the difference is attained.
     """
-    xa = _sorted_sample(a, "first sample")
-    xb = _sorted_sample(b, "second sample")
+    xa = np.sort(_as_finite_array(a, "first sample"))
+    xb = np.sort(_as_finite_array(b, "second sample"))
     pool = np.concatenate([xa, xb])
     fa = np.searchsorted(xa, pool, side="right") / xa.size
     fb = np.searchsorted(xb, pool, side="right") / xb.size
@@ -101,8 +95,8 @@ def wasserstein1(a, b) -> float:
     Unequal sizes n and m: both quantile functions are constant between
     consecutive points of {i/n} and {j/m}; integrate piece by piece.
     """
-    xa = _sorted_sample(a, "first sample")
-    xb = _sorted_sample(b, "second sample")
+    xa = np.sort(_as_finite_array(a, "first sample"))
+    xb = np.sort(_as_finite_array(b, "second sample"))
     if xa.size == xb.size:
         return float(np.abs(xa - xb).mean())
     cuts = np.union1d(np.arange(xa.size + 1) / xa.size, np.arange(xb.size + 1) / xb.size)
@@ -118,7 +112,7 @@ def _quantile_at(sorted_values: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def ks_one_sample(sample, cdf: Callable[[float], float]) -> float:
     """Exact sup-distance between a sample's ECDF and a reference CDF."""
-    xs = _sorted_sample(sample, "sample")
+    xs = np.sort(_as_finite_array(sample, "sample"))
     f = np.array([float(cdf(x)) for x in xs])
     steps = np.arange(1, xs.size + 1, dtype=np.float64) / xs.size
     d_plus = float((steps - f).max())
@@ -151,10 +145,9 @@ def ks_critical(significance: float, n: int, m: Optional[int] = None) -> float:
     One-sample for a sample of size n when `m` is omitted, two-sample
     for sizes n and m otherwise.
     """
-    if not 0.0 < significance < 1.0:
-        raise InvalidInputError("significance must lie strictly inside (0, 1)")
-    if n < 1 or (m is not None and m < 1):
-        raise InvalidInputError("sample sizes must be at least 1")
+    _check_open_unit(significance, "significance")
+    n = _check_count(n, "n")
+    m = None if m is None else _check_count(m, "m")
     lo, hi = 0.05, 8.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -230,7 +223,10 @@ def compare(
     """
     if not (math.isfinite(threshold_factor) and threshold_factor > 0):
         raise InvalidInputError("threshold_factor must be finite and positive")
-    # Baseline first, so a bad `reps` fails before any ensemble is built.
+    # Both schemes are checked and the baseline is built first, so a bad
+    # scheme or `reps` fails before any ensemble is built.
+    for method in (method_a, method_b):
+        _kernel(method, data, epsilon)
     baseline = self_calibrate(
         method_a, data, b, functional, epsilon, derive_seed(master_seed, _SALT_SELF), reps, workers
     )

@@ -19,12 +19,13 @@ from .core import (
     InvalidInputError,
     RngStream,
     _check_count,
+    _check_open_unit,
     _freeze,
     _open_uniforms,
     _uniform_indices,
     apply_functional,
 )
-from .dp import _check_epsilon, _measure_draws, _stick_break, _urn_draws, dp0_posterior
+from .dp import _measure_draws, _stick_break, _urn_draws, dp0_posterior
 
 
 class Method(Enum):
@@ -125,7 +126,7 @@ def _kernel(method: Method, data: Dataset, epsilon: float = 1e-10):
         raise InvalidInputError("method must be a Method")
     if not isinstance(data, Dataset):
         raise InvalidInputError("data must be a Dataset")
-    _check_epsilon(epsilon)
+    _check_open_unit(epsilon, "epsilon")
     return _KERNELS[method](data, dp0_posterior(data), epsilon)
 
 
@@ -163,8 +164,8 @@ class Ensemble:
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
-        if arr.size != self.b or self.b < 1:
-            raise InvalidInputError("ensemble must hold exactly b values, b >= 1")
+        if arr.size != _check_count(self.b, "b"):
+            raise InvalidInputError("ensemble must hold exactly b values")
         if not np.all(np.isfinite(arr)):
             raise InvalidInputError("ensemble values must be finite")
         object.__setattr__(self, "values", _freeze(arr))

@@ -116,6 +116,23 @@ def test_resample_errors(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["resample", "--method", "frequentist"],
+        ["compare", "--method-a", "frequentist", "--method-b", "dp-stickbreak", "--b", "50"],
+        ["experiment", "--n-grid", "10", "--generator", "uniform:0,1", "--b", "50"],
+    ],
+)
+def test_seed_outside_u64_exits_2(sample_file, capsys, command, seed):
+    inputs = [] if command[0] == "experiment" else ["--input", sample_file]
+    assert main(command + inputs + ["--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unsigned 64-bit" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # posterior
 

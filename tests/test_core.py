@@ -237,13 +237,18 @@ def test_quantile_is_left_continuous_inverse():
 
 
 def test_uniform_weights_match_unweighted():
+    # Bit for bit, on plain, tied and offset samples.
     gen = RngStream(3, 0).generator()
     functionals = [MEAN, MEDIAN, STDDEV, quantile(0.3), quantile(0.9)]
-    for trial in range(25):
+    for trial in range(75):
         y = gen.random(1 + int(gen.random() * 40)) * 10
+        if trial % 3 == 1:
+            y = np.round(y)
+        elif trial % 3 == 2:
+            y = y + 1e3
         w = np.full(y.size, 1.0)
         for f in functionals:
-            assert abs(apply_functional(f, y) - apply_functional(f, y, w)) <= 1e-12
+            assert apply_functional(f, y) == apply_functional(f, y, w)
 
 
 def test_weighted_sd_is_population_style():
@@ -305,3 +310,7 @@ def test_derive_seed_is_deterministic_and_spread():
     assert len(set(seeds)) == 100
     assert all(0 <= s < 1 << 64 for s in seeds)
     assert derive_seed(77, 0) != derive_seed(78, 0)
+    assert derive_seed(2**64 - 1, 0) == derive_seed(np.uint64(2**64 - 1), 0)
+    for seed in (-1, 2**64 + 5, 1.5):
+        with pytest.raises(InvalidInputError):
+            derive_seed(seed, 0)

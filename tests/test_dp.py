@@ -234,8 +234,9 @@ def test_measure_sample_mean_matches_binomial_error():
 
 def test_measure_sample_validation():
     m = DiscreteMeasure(np.array([5.0]), np.array([1.0]), 0.0)
-    with pytest.raises(InvalidInputError):
-        measure_sample(m, 0, RngStream(0, 0))
+    for count in (0, 2.5):
+        with pytest.raises(InvalidInputError):
+            measure_sample(m, count, RngStream(0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +270,9 @@ def test_polya_urn_validation():
     with pytest.raises(InvalidInputError):
         polya_urn_predictive(DPParams(0.0), 1, RngStream(0, 0))
     dp = dp0_posterior(Dataset([1.0]))
-    with pytest.raises(InvalidInputError):
-        polya_urn_predictive(dp, 0, RngStream(0, 0))
+    for count in (0, 2.5):
+        with pytest.raises(InvalidInputError):
+            polya_urn_predictive(dp, count, RngStream(0, 0))
 
 
 def test_urn_and_stick_sampling_agree_on_the_mean():

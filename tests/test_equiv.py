@@ -178,7 +178,9 @@ def test_ks_critical_scalings():
         ks_critical(0.0, 10)
 
 
-@pytest.mark.parametrize("n, m", [(0, None), (-1, None), (0, 10), (10, 0)])
+@pytest.mark.parametrize(
+    "n, m", [(0, None), (-1, None), (0, 10), (10, 0), (2.5, None), (math.nan, None), (10, 2.5)]
+)
 def test_ks_critical_rejects_empty_samples(n, m):
     with pytest.raises(InvalidInputError):
         ks_critical(0.01, n, m)
@@ -231,6 +233,9 @@ def test_self_calibrate_validation():
     for reps in (3.5, math.nan, "3"):
         with pytest.raises(InvalidInputError):
             self_calibrate(Method.FREQUENTIST, data, 10, MEAN, reps=reps)
+    for seed in (-1, 2**64 + 5):
+        with pytest.raises(InvalidInputError):
+            self_calibrate(Method.FREQUENTIST, data, 10, MEAN, master_seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +298,9 @@ def test_compare_validation():
     for reps in (2, 3.5, math.nan, "3"):
         with pytest.raises(InvalidInputError):
             compare(Method.FREQUENTIST, Method.FREQUENTIST, data, b=50, reps=reps)
+    for seed in (-1, 2**64 + 5):
+        with pytest.raises(InvalidInputError):
+            compare(Method.FREQUENTIST, Method.FREQUENTIST, data, b=50, master_seed=seed)
 
 
 def test_compare_rejects_reps_before_building_ensembles(monkeypatch):
@@ -304,6 +312,21 @@ def test_compare_rejects_reps_before_building_ensembles(monkeypatch):
     monkeypatch.setattr(dpboot.equiv, "make_ensemble", unexpected)
     with pytest.raises(InvalidInputError):
         compare(Method.FREQUENTIST, Method.DP_STICK_BREAK, Dataset([1.0, 2.0]), b=50, reps=2)
+
+
+@pytest.mark.parametrize(
+    "method_a, method_b",
+    [(Method.FREQUENTIST, "dp-stickbreak"), ("frequentist", Method.DP_STICK_BREAK)],
+)
+def test_compare_rejects_bad_method_before_building_ensembles(monkeypatch, method_a, method_b):
+    import dpboot.equiv
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("an ensemble was built before the methods were checked")
+
+    monkeypatch.setattr(dpboot.equiv, "make_ensemble", unexpected)
+    with pytest.raises(InvalidInputError):
+        compare(method_a, method_b, Dataset([1.0, 2.0]), b=50, reps=3)
 
 
 @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf])
@@ -346,6 +369,9 @@ def test_convergence_validation():
     for size in (0, 10.7, math.nan, "10"):
         with pytest.raises(InvalidInputError):
             convergence_experiment([size], UniformBase(0, 1), b=100)
+    for seed in (-1, 2**64 + 5):
+        with pytest.raises(InvalidInputError):
+            convergence_experiment([10], UniformBase(0, 1), b=100, master_seed=seed)
 
 
 # ---------------------------------------------------------------------------
