@@ -140,7 +140,6 @@ def _cmd_compare(args) -> int:
         master_seed=args.seed,
         threshold_factor=args.threshold,
         reps=args.reps,
-        workers=args.workers,
     )
     row = {
         "method_a": args.method_a,
@@ -173,7 +172,6 @@ def _cmd_experiment(args) -> int:
         master_seed=args.seed,
         threshold_factor=args.threshold,
         reps=args.reps,
-        workers=args.workers,
     )
     _write_table(args, [{**asdict(row), "verdict": row.verdict.value} for row in rows])
     return 0
@@ -209,8 +207,8 @@ def _add_comparison_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--reps", type=int, default=5, help="self-calibration pair count")
     parser.add_argument("--epsilon", type=float, default=1e-10)
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="accepted for compatibility; never changes output")
+    # Ignored; parsed only so that scripts passing it still run.
+    parser.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
     parser.add_argument("--output", default="-")
 
 

@@ -78,8 +78,7 @@ class RngStream:
     The stream is a pure function of (master_seed, stream_id): equal
     fields yield byte-identical output, distinct stream ids yield
     independent-quality streams (counter-based Philox keying).  Callers
-    derive one stream per logical task, e.g. per replication index; a
-    single instance must not be consumed concurrently.
+    derive one stream per logical task, e.g. per replication index.
     """
 
     master_seed: int
@@ -165,10 +164,6 @@ class EmpiricalCDF:
         object.__setattr__(self, "n", int(self.n))
 
     @cached_property
-    def cum_counts(self) -> np.ndarray:
-        return _freeze(np.cumsum(self.counts))
-
-    @cached_property
     def support(self) -> np.ndarray:
         """All n underlying observations, sorted, multiplicity expanded."""
         return _freeze(np.repeat(self.values, self.counts))
@@ -184,10 +179,7 @@ def ecdf_eval(ecdf: EmpiricalCDF, x: float) -> float:
     """Fraction of observations <= x (right-continuous step function)."""
     if not math.isfinite(x):
         raise InvalidInputError("evaluation point must be finite")
-    k = int(np.searchsorted(ecdf.values, x, side="right"))
-    if k == 0:
-        return 0.0
-    return float(ecdf.cum_counts[k - 1]) / ecdf.n
+    return float(np.searchsorted(ecdf.support, x, side="right")) / ecdf.n
 
 
 # ---------------------------------------------------------------------------

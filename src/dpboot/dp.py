@@ -20,7 +20,6 @@ from .core import (
     DiscreteMeasure,
     DPParams,
     EmpiricalBase,
-    EmpiricalCDF,
     InvalidInputError,
     MixtureBase,
     RngStream,
@@ -111,12 +110,8 @@ def _per_obs_match(w1: float, emp1: EmpiricalBase, w2: float, emp2: EmpiricalBas
 
 
 def _pool_empirical(emp1: EmpiricalBase, emp2: EmpiricalBase) -> EmpiricalBase:
-    values = np.concatenate([emp1.ecdf.values, emp2.ecdf.values])
-    counts = np.concatenate([emp1.ecdf.counts, emp2.ecdf.counts])
-    uniq, inverse = np.unique(values, return_inverse=True)
-    summed = np.zeros(uniq.size, dtype=np.int64)
-    np.add.at(summed, inverse, counts)
-    return EmpiricalBase(EmpiricalCDF(uniq, summed, emp1.ecdf.n + emp2.ecdf.n))
+    pooled = np.concatenate([emp1.ecdf.support, emp2.ecdf.support])
+    return EmpiricalBase(ecdf_build(Dataset(pooled)))
 
 
 def _require_sampleable(dp: DPParams):
@@ -227,6 +222,4 @@ def atom_masses(measure: DiscreteMeasure, values) -> np.ndarray:
     clipped = np.minimum(idx, grid.size - 1)
     if not np.all(grid[clipped] == measure.atoms):
         raise InvalidInputError("measure has atoms outside the query values")
-    masses = np.zeros(grid.size, dtype=np.float64)
-    np.add.at(masses, clipped, measure.weights)
-    return masses / measure.weights.sum()
+    return np.bincount(clipped, measure.weights, grid.size) / measure.weights.sum()

@@ -127,6 +127,8 @@ def kolmogorov_sf(t: float) -> float:
     asymptotic null law of sqrt(n) times the one-sample KS statistic
     and of sqrt(nm/(n+m)) times the two-sample one.
     """
+    if math.isnan(t):
+        raise InvalidInputError("Kolmogorov statistic must not be NaN")
     if t <= 0.05:
         return 1.0
     total, sign = 0.0, 1.0
@@ -182,17 +184,15 @@ def self_calibrate(
     epsilon: float = 1e-10,
     master_seed: int = 0,
     reps: int = 5,
-    workers: int = 1,
 ) -> tuple:
     """Distance noise floor between independent runs of one scheme.
 
     Builds reps+1 ensembles on derived seeds and reports the distance
-    between each consecutive pair: `reps` reports in total.  `workers`
-    is accepted for compatibility and never changes output.
+    between each consecutive pair: `reps` reports in total.
     """
     reps = _check_count(reps, "reps", 3)
     ensembles = [
-        make_ensemble(method, data, b, functional, epsilon, derive_seed(master_seed, i), workers)
+        make_ensemble(method, data, b, functional, epsilon, derive_seed(master_seed, i))
         for i in range(reps + 1)
     ]
     return tuple(
@@ -218,8 +218,8 @@ def compare(
     One ensemble per scheme gives the cross distance; the baseline is
     the self-calibration of scheme A.  Every ensemble gets its own
     derived master seed, so comparing a scheme against itself is a clean
-    null experiment.  `workers` is accepted for compatibility and never
-    changes output.
+    null experiment.  `workers` is ignored; it stays only while
+    bench/workloads.py passes it.
     """
     if not (math.isfinite(threshold_factor) and threshold_factor > 0):
         raise InvalidInputError("threshold_factor must be finite and positive")
@@ -228,13 +228,13 @@ def compare(
     for method in (method_a, method_b):
         _kernel(method, data, epsilon)
     baseline = self_calibrate(
-        method_a, data, b, functional, epsilon, derive_seed(master_seed, _SALT_SELF), reps, workers
+        method_a, data, b, functional, epsilon, derive_seed(master_seed, _SALT_SELF), reps
     )
     ens_a = make_ensemble(
-        method_a, data, b, functional, epsilon, derive_seed(master_seed, _SALT_CROSS_A), workers
+        method_a, data, b, functional, epsilon, derive_seed(master_seed, _SALT_CROSS_A)
     )
     ens_b = make_ensemble(
-        method_b, data, b, functional, epsilon, derive_seed(master_seed, _SALT_CROSS_B), workers
+        method_b, data, b, functional, epsilon, derive_seed(master_seed, _SALT_CROSS_B)
     )
     cross = _distance(ens_a.values, ens_b.values)
     return EquivalenceReport(
@@ -261,14 +261,12 @@ def convergence_experiment(
     master_seed: int = 0,
     threshold_factor: float = 2.0,
     reps: int = 5,
-    workers: int = 1,
 ) -> list:
     """Frequentist vs stick-breaking distances across sample sizes.
 
     Each row draws a fresh dataset of size n from the generator (rows
     are independent, never nested subsets) and runs the calibrated
-    comparison on it.  Rows come back in grid order.  `workers` is
-    accepted for compatibility and never changes output.
+    comparison on it.  Rows come back in grid order.
     """
     grid = [_check_count(n, "n_grid entries") for n in n_grid]
     if not grid:
@@ -293,7 +291,6 @@ def convergence_experiment(
             derive_seed(row_seed, 1),
             threshold_factor,
             reps,
-            workers,
         )
         rows.append(
             ConvergenceRow(

@@ -18,6 +18,7 @@ from .core import (
     Functional,
     InvalidInputError,
     RngStream,
+    _as_finite_array,
     _check_count,
     _check_open_unit,
     _freeze,
@@ -163,11 +164,9 @@ class Ensemble:
     b: int
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
+        arr = _as_finite_array(self.values, "ensemble values")
         if arr.size != _check_count(self.b, "b"):
             raise InvalidInputError("ensemble must hold exactly b values")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInputError("ensemble values must be finite")
         object.__setattr__(self, "values", _freeze(arr))
 
 
@@ -178,19 +177,16 @@ def make_ensemble(
     functional: Functional,
     epsilon: float = 1e-10,
     master_seed: int = 0,
-    workers: int = 1,
 ) -> Ensemble:
     """Generate the B replicated functional values of one scheme.
 
     Replication i draws from RngStream(master_seed, i), so the result
     is a pure function of the arguments.  Every replication runs on the
-    calling thread; `workers` is accepted for compatibility and never
-    changes output.
+    calling thread.
     """
     if not isinstance(functional, Functional):
         raise InvalidInputError("functional must be a Functional")
     b = _check_count(b, "b")
-    _check_count(workers, "workers")
     kernel = _kernel(method, data, epsilon)
 
     def replicate(i: int) -> float:

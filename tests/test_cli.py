@@ -228,6 +228,15 @@ def test_compare_parallelism_does_not_change_bytes(tmp_path, sample_file):
     assert solo == pooled
 
 
+@pytest.mark.parametrize("command", ["compare", "experiment"])
+def test_workers_flag_is_hidden(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    help_text = capsys.readouterr().out
+    assert "--seed" in help_text
+    assert "--workers" not in help_text
+
+
 def test_replications_start_no_threads(tmp_path, sample_file, monkeypatch):
     import threading
 
@@ -237,7 +246,7 @@ def test_replications_start_no_threads(tmp_path, sample_file, monkeypatch):
         raise AssertionError("a thread was started")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    ens = make_ensemble(Method.FREQUENTIST, Dataset([1.0, 2.0, 4.0]), 50, MEAN, workers=4)
+    ens = make_ensemble(Method.FREQUENTIST, Dataset([1.0, 2.0, 4.0]), 50, MEAN)
     assert ens.b == 50
     argv = [
         "compare", "--input", sample_file,

@@ -167,6 +167,13 @@ def test_kolmogorov_sf_reference_points():
     assert kolmogorov_sf(0.8276) == pytest.approx(0.5, abs=5e-3)
     assert kolmogorov_sf(0.01) == 1.0
     assert kolmogorov_sf(5.0) < 1e-10
+    assert kolmogorov_sf(math.inf) == 0.0
+
+
+def test_kolmogorov_sf_rejects_nan():
+    # max(0.0, nan) is 0.0: NaN would read as "reject everything".
+    with pytest.raises(InvalidInputError):
+        kolmogorov_sf(math.nan)
 
 
 def test_ks_critical_scalings():
@@ -236,6 +243,8 @@ def test_self_calibrate_validation():
     for seed in (-1, 2**64 + 5):
         with pytest.raises(InvalidInputError):
             self_calibrate(Method.FREQUENTIST, data, 10, MEAN, master_seed=seed)
+    with pytest.raises(TypeError):
+        self_calibrate(Method.FREQUENTIST, data, 10, MEAN, workers=1)
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +381,8 @@ def test_convergence_validation():
     for seed in (-1, 2**64 + 5):
         with pytest.raises(InvalidInputError):
             convergence_experiment([10], UniformBase(0, 1), b=100, master_seed=seed)
+    with pytest.raises(TypeError):
+        convergence_experiment([10], UniformBase(0, 1), b=100, workers=1)
 
 
 # ---------------------------------------------------------------------------

@@ -37,5 +37,3 @@ def test_ensemble_replications_are_kernel_draws(method, functional, values, seed
     ens = make_ensemble(method, data, b, functional, master_seed=seed)
     expected = [apply_functional(functional, *kernel(RngStream(seed, i).generator())) for i in range(b)]
     assert ens.values.tobytes() == np.array(expected).tobytes()
-    pooled = make_ensemble(method, data, b, functional, master_seed=seed, workers=2)
-    assert pooled.values.tobytes() == ens.values.tobytes()
