@@ -116,8 +116,11 @@ def _describe_base(base) -> list:
 
 def _cmd_posterior(args) -> int:
     data = _read_dataset(args.input)
-    prior = DPParams(args.alpha, None if args.base == "none" else _parse_base(args.base))
-    posterior = dp0_posterior(data) if prior.alpha == 0 else conjugate_update(prior, data)
+    base = None if args.base == "none" else _parse_base(args.base)  # checked at alpha 0 too
+    if args.alpha == 0:  # the weak limit; also -0.0
+        posterior = dp0_posterior(data)
+    else:
+        posterior = conjugate_update(DPParams(args.alpha, base), data)
     payload = {
         "alpha_posterior": float(posterior.alpha),
         "mixture": _describe_base(posterior.base),

@@ -282,24 +282,21 @@ def base_sample(base: BaseMeasure, rng: RngStream) -> float:
 
 @dataclass(frozen=True, eq=False)
 class DPParams:
-    """Dirichlet-process parameters: concentration and base measure.
+    """Dirichlet-process parameters: concentration alpha > 0 and base measure.
 
-    alpha == 0 marks the vanishing-concentration prior, which exists
-    only as a marker: samplers and conjugate updating reject it, the
-    posterior constructor handles it directly.
+    The alpha -> 0 limit is not a DPParams; `dp.dp0_posterior` builds
+    its posterior directly.
     """
 
     alpha: float
-    base: Optional[BaseMeasure] = None
+    base: BaseMeasure
 
     def __post_init__(self):
         alpha = float(self.alpha)
-        if not math.isfinite(alpha) or alpha < 0:
-            raise InvalidInputError("alpha must be finite and nonnegative")
-        if alpha > 0 and not isinstance(self.base, BaseMeasure):
-            raise InvalidInputError("a base measure is required when alpha > 0")
-        if self.base is not None and not isinstance(self.base, BaseMeasure):
-            raise InvalidInputError("base must be a BaseMeasure")
+        if not math.isfinite(alpha) or alpha <= 0:
+            raise InvalidInputError("alpha must be finite and positive")
+        if not isinstance(self.base, BaseMeasure):
+            raise InvalidInputError("a base measure is required")
         object.__setattr__(self, "alpha", alpha)
 
 

@@ -50,10 +50,6 @@ def conjugate_update(prior: DPParams, data: Dataset) -> DPParams:
     empirical components pooled, so updating batch-by-batch agrees
     with updating once on the union.
     """
-    if prior.alpha <= 0.0:
-        raise InvalidInputError(
-            "conjugate updating needs alpha > 0; use dp0_posterior for the weak limit"
-        )
     n = len(data)
     total = prior.alpha + n
     parts = [
@@ -114,11 +110,6 @@ def _pool_empirical(emp1: EmpiricalBase, emp2: EmpiricalBase) -> EmpiricalBase:
     return EmpiricalBase(ecdf_build(Dataset(pooled)))
 
 
-def _require_sampleable(dp: DPParams):
-    if dp.alpha <= 0.0:
-        raise InvalidInputError("sampling requires alpha > 0")
-
-
 def stick_break(dp: DPParams, epsilon: float, rng: RngStream) -> DiscreteMeasure:
     """Realize one draw from the process, truncated at leftover mass epsilon.
 
@@ -127,7 +118,6 @@ def stick_break(dp: DPParams, epsilon: float, rng: RngStream) -> DiscreteMeasure
     run stops at the first stick where the unbroken remainder drops
     below epsilon, and that remainder is recorded as the residual.
     """
-    _require_sampleable(dp)
     _check_open_unit(epsilon, "epsilon")
     draw = functools.partial(_sample_base, dp.base)
     return DiscreteMeasure(*_stick_break(dp.alpha, epsilon, rng.generator(), draw))
@@ -187,7 +177,6 @@ def polya_urn_predictive(dp: DPParams, count: int, rng: RngStream) -> Dataset:
     alpha/(alpha+i), otherwise a uniformly chosen copy of an earlier
     draw.  The first draw is always fresh.
     """
-    _require_sampleable(dp)
     count = _check_count(count, "count")
     return Dataset(_urn_draws(dp, count, rng.generator()))
 

@@ -114,6 +114,8 @@ def ks_one_sample(sample, cdf: Callable[[float], float]) -> float:
     """Exact sup-distance between a sample's ECDF and a reference CDF."""
     xs = np.sort(_as_finite_array(sample, "sample"))
     f = np.array([float(cdf(x)) for x in xs])
+    if not np.all((f >= 0) & (f <= 1)):  # also catches NaN
+        raise InvalidInputError("reference CDF values must lie in [0, 1]")
     steps = np.arange(1, xs.size + 1, dtype=np.float64) / xs.size
     d_plus = float((steps - f).max())
     d_minus = float((f - steps + 1.0 / xs.size).max())

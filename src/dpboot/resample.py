@@ -21,6 +21,7 @@ from .core import (
     _as_finite_array,
     _check_count,
     _check_open_unit,
+    _check_seed,
     _freeze,
     _open_uniforms,
     _uniform_indices,
@@ -164,6 +165,8 @@ class Ensemble:
     b: int
 
     def __post_init__(self):
+        _check_count(self.n, "n")
+        _check_seed(self.master_seed, "master_seed")
         arr = _as_finite_array(self.values, "ensemble values")
         if arr.size != _check_count(self.b, "b"):
             raise InvalidInputError("ensemble must hold exactly b values")

@@ -153,20 +153,24 @@ def test_posterior_conjugate_json(tmp_path, capsys):
 def test_posterior_weak_limit_route(tmp_path, capsys):
     path = tmp_path / "four.txt"
     path.write_text("1\n2\n3\n4\n")
-    assert main(["posterior", "--input", str(path), "--alpha", "0"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload == {
-        "alpha_posterior": 4.0,
-        "mixture": [{"weight": 1.0, "component": "empirical"}],
-        "n": 4,
-    }
+    # -0.0 is the weak limit too, and a base given with alpha 0 is
+    # parsed but has no weight in the limit.
+    for extra in ([], ["--base", "none"], ["--base", "normal:0,1"]):
+        for alpha in ("0", "-0.0"):
+            assert main(["posterior", "--input", str(path), "--alpha", alpha] + extra) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload == {
+                "alpha_posterior": 4.0,
+                "mixture": [{"weight": 1.0, "component": "empirical"}],
+                "n": 4,
+            }
 
 
 def test_posterior_errors(tmp_path, capsys):
     path = tmp_path / "data.txt"
     path.write_text("1.0\n")
     assert main(["posterior", "--input", str(path), "--alpha", "2", "--base", "none"]) == 2
-    assert "base" in capsys.readouterr().err
+    assert "a base measure is required" in capsys.readouterr().err
 
     assert main(["posterior", "--input", str(path), "--alpha", "-1"]) == 2
     capsys.readouterr()

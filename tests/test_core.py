@@ -187,12 +187,17 @@ def test_parametric_validation():
 
 
 def test_dp_params_validation():
-    with pytest.raises(InvalidInputError):
-        DPParams(-1.0, UniformBase(0, 1))
-    with pytest.raises(InvalidInputError):
-        DPParams(2.0)  # alpha > 0 needs a base
-    marker = DPParams(0.0)  # weak-limit marker is legal
-    assert marker.alpha == 0.0 and marker.base is None
+    # alpha must be finite and positive: the alpha -> 0 limit is only
+    # reachable through dp0_posterior.
+    for alpha in (0.0, -0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InvalidInputError, match="alpha"):
+            DPParams(alpha, UniformBase(0, 1))
+    with pytest.raises(InvalidInputError, match="base measure is required"):
+        DPParams(2.0, None)
+    with pytest.raises(TypeError):
+        DPParams(2.0)  # the base has no default
+    dp = DPParams(2, UniformBase(0, 1))
+    assert dp.alpha == 2.0 and isinstance(dp.alpha, float)
 
 
 def test_discrete_measure_validation():

@@ -160,6 +160,13 @@ def test_ks_one_sample_detects_wrong_cdf():
     assert ks_one_sample(u, lambda x: min(max(x, 0.0), 1.0) ** 3) > 0.2
 
 
+def test_ks_one_sample_rejects_cdf_values_outside_unit_interval():
+    # A NaN statistic would compare false against every critical value.
+    for value in (math.nan, 7.0, -0.5):
+        with pytest.raises(InvalidInputError, match="CDF"):
+            ks_one_sample([0.2, 0.5], lambda x, v=value: v)
+
+
 def test_kolmogorov_sf_reference_points():
     # Classic table values of the sup-bridge law.
     assert kolmogorov_sf(1.3581) == pytest.approx(0.05, abs=2e-3)

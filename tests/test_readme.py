@@ -1,0 +1,16 @@
+"""The README's library example runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_example_runs(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {"__name__": "readme_example"})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert "atoms, residual" in lines[0]
+    assert lines[1].split()[0] in ("indistinguishable", "distinguishable")

@@ -196,6 +196,9 @@ def test_ensemble_validation():
         Ensemble(Method.FREQUENTIST, MEAN, np.array([np.inf]), 0, 1, 1)
     with pytest.raises(InvalidInputError):
         Ensemble(Method.FREQUENTIST, MEAN, np.ones((2, 1)), 0, 2, 2)
+    for master_seed, n in ((-5, 2), (2**70, 2), (0, -1), (0, 0), (0, 2.5)):
+        with pytest.raises(InvalidInputError):
+            Ensemble(Method.FREQUENTIST, MEAN, np.ones(2), master_seed, n, 2)
 
 
 def test_method_labels_round_trip():
