@@ -42,10 +42,6 @@ from .resample import bayesian_bootstrap_weights, dp_bootstrap_sample  # noqa: F
 from .resample import frequentist_bootstrap  # noqa: F401
 
 
-class CliError(Exception):
-    """User-facing failure; exits with status 2."""
-
-
 def _read_dataset(path: str) -> Dataset:
     if path == "-":
         lines = sys.stdin.read().splitlines()
@@ -54,7 +50,7 @@ def _read_dataset(path: str) -> Dataset:
             with open(path, "r", encoding="utf-8") as handle:
                 lines = handle.read().splitlines()
         except OSError as exc:
-            raise CliError(f"cannot read {path}: {exc}") from exc
+            raise InvalidInputError(f"cannot read {path}: {exc}") from exc
     values = []
     for lineno, raw in enumerate(lines, start=1):
         text = raw.strip()
@@ -63,9 +59,9 @@ def _read_dataset(path: str) -> Dataset:
         try:
             values.append(float(text))
         except ValueError:
-            raise CliError(f"{path}: line {lineno}: not a number: {text!r}") from None
+            raise InvalidInputError(f"{path}: line {lineno}: not a number: {text!r}") from None
     if not values:
-        raise CliError(f"{path}: no data")
+        raise InvalidInputError(f"{path}: no data")
     return Dataset(values)
 
 
@@ -83,12 +79,12 @@ def _parse_base(text: str):
     try:
         a, b = (float(tok) for tok in params.split(","))
     except ValueError:
-        raise CliError(f"bad base measure: {text!r} (expected KIND:A,B)") from None
+        raise InvalidInputError(f"bad base measure: {text!r} (expected KIND:A,B)") from None
     if kind == "normal":
         return NormalBase(a, b)
     if kind == "uniform":
         return UniformBase(a, b)
-    raise CliError(f"unknown base kind: {kind!r}")
+    raise InvalidInputError(f"unknown base kind: {kind!r}")
 
 
 def _cmd_resample(args) -> int:
@@ -105,13 +101,10 @@ def _describe_base(base) -> list:
             return "empirical"
         if isinstance(measure, NormalBase):
             return f"normal({measure.mean:g},{measure.sd:g})"
-        if isinstance(measure, UniformBase):
-            return f"uniform({measure.lo:g},{measure.hi:g})"
-        return type(measure).__name__
+        return f"uniform({measure.lo:g},{measure.hi:g})"  # the only other kind parsed
 
-    if isinstance(base, MixtureBase):
-        return [{"weight": float(w), "component": label(m)} for w, m in base.components]
-    return [{"weight": 1.0, "component": label(base)}]
+    components = base.components if isinstance(base, MixtureBase) else ((1.0, base),)
+    return [{"weight": float(w), "component": label(m)} for w, m in components]
 
 
 def _cmd_posterior(args) -> int:
@@ -165,7 +158,7 @@ def _cmd_experiment(args) -> int:
     try:
         grid = [int(token) for token in args.n_grid.split(",")]
     except ValueError:
-        raise CliError(f"bad n-grid: {args.n_grid!r}") from None
+        raise InvalidInputError(f"bad n-grid: {args.n_grid!r}") from None
     rows = convergence_experiment(
         grid,
         _parse_base(args.generator),
@@ -260,7 +253,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (CliError, InvalidInputError, OSError) as exc:
+    except (InvalidInputError, OSError) as exc:
         print(f"dpboot: {exc}", file=sys.stderr)
         return 2
 

@@ -18,8 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-MIXTURE_WEIGHT_TOL = 1e-12
-WEIGHT_SUM_TOL = 1e-12
+WEIGHT_SUM_TOL = 1e-12  # mixture weights, and stick weights plus residual, sum to 1
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -42,17 +41,26 @@ def _as_finite_array(values, what: str) -> np.ndarray:
 
 
 def _check_count(value, name: str, minimum: int = 1) -> int:
-    """`value` as an int; it must be an int or numpy integer >= `minimum`."""
-    if not isinstance(value, (int, np.integer)) or value < minimum:
+    """`value` as an int; it must be an int or numpy integer >= `minimum`, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise InvalidInputError(f"{name} must be an integer, at least {minimum}")
     return int(value)
 
 
 def _check_seed(value, name: str = "seed") -> int:
-    """`value` as an int; it must be an int or numpy integer in [0, 2**64)."""
-    if not isinstance(value, (int, np.integer)) or not 0 <= int(value) <= _MASK64:
+    """`value` as an int; it must be an int or numpy integer in [0, 2**64), not a bool."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integer or not 0 <= int(value) <= _MASK64:
         raise InvalidInputError(f"{name} must be an unsigned 64-bit integer")
     return int(value)
+
+
+def _check_real(value, message: str, positive: bool = False) -> float:
+    """`value` as a float: a finite real number, not a bool, > 0 if `positive`."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(value)) or positive and value <= 0:
+        raise InvalidInputError(message)
+    return float(value)
 
 
 def _check_open_unit(value, name: str):
@@ -177,8 +185,7 @@ def ecdf_build(data: Dataset) -> EmpiricalCDF:
 
 def ecdf_eval(ecdf: EmpiricalCDF, x: float) -> float:
     """Fraction of observations <= x (right-continuous step function)."""
-    if not math.isfinite(x):
-        raise InvalidInputError("evaluation point must be finite")
+    x = _check_real(x, "evaluation point must be finite")
     return float(np.searchsorted(ecdf.support, x, side="right")) / ecdf.n
 
 
@@ -207,8 +214,9 @@ class NormalBase(BaseMeasure):
     sd: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.mean) and math.isfinite(self.sd)) or self.sd <= 0:
-            raise InvalidInputError("normal base needs finite mean and sd > 0")
+        message = "normal base needs finite mean and sd > 0"
+        _check_real(self.mean, message)
+        _check_real(self.sd, message, positive=True)
 
 
 @dataclass(frozen=True)
@@ -217,8 +225,9 @@ class UniformBase(BaseMeasure):
     hi: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)) or not self.lo < self.hi:
-            raise InvalidInputError("uniform base needs finite lo < hi")
+        message = "uniform base needs finite lo < hi"
+        if not _check_real(self.lo, message) < _check_real(self.hi, message):
+            raise InvalidInputError(message)
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,13 +237,12 @@ class MixtureBase(BaseMeasure):
     components: tuple
 
     def __post_init__(self):
-        comps = tuple((float(w), m) for w, m in self.components)
+        message = "mixture weights must be finite and positive"
+        comps = tuple((_check_real(w, message, positive=True), m) for w, m in self.components)
         if not comps:
             raise InvalidInputError("mixture needs at least one component")
         weights = np.array([w for w, _ in comps])
-        if not np.all(weights > 0):
-            raise InvalidInputError("mixture weights must be strictly positive")
-        if abs(float(weights.sum()) - 1.0) > MIXTURE_WEIGHT_TOL:
+        if abs(float(weights.sum()) - 1.0) > WEIGHT_SUM_TOL:
             raise InvalidInputError("mixture weights must sum to 1")
         for _, measure in comps:
             if isinstance(measure, MixtureBase):
@@ -292,9 +300,7 @@ class DPParams:
     base: BaseMeasure
 
     def __post_init__(self):
-        alpha = float(self.alpha)
-        if not math.isfinite(alpha) or alpha <= 0:
-            raise InvalidInputError("alpha must be finite and positive")
+        alpha = _check_real(self.alpha, "alpha must be finite and positive", positive=True)
         if not isinstance(self.base, BaseMeasure):
             raise InvalidInputError("a base measure is required")
         object.__setattr__(self, "alpha", alpha)

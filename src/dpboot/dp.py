@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .core import (
-    MIXTURE_WEIGHT_TOL,
+    WEIGHT_SUM_TOL,
     Dataset,
     DiscreteMeasure,
     DPParams,
@@ -46,17 +46,31 @@ def conjugate_update(prior: DPParams, data: Dataset) -> DPParams:
 
     Concentration grows by n; the posterior base mixes the prior base
     (weight alpha/(alpha+n)) with the data's empirical CDF (weight
-    n/(alpha+n)).  Nested mixtures are flattened and compatible
-    empirical components pooled, so updating batch-by-batch agrees
+    n/(alpha+n)).  A mixture prior contributes its components directly,
+    and two empirical components that put equal mass on each underlying
+    observation are pooled into one, so updating batch-by-batch agrees
     with updating once on the union.
     """
     n = len(data)
     total = prior.alpha + n
-    parts = [
-        (prior.alpha / total, prior.base),
-        (n / total, EmpiricalBase(ecdf_build(data))),
-    ]
-    return DPParams(total, _mix(parts))
+    base = prior.base
+    prior_parts = base.components if isinstance(base, MixtureBase) else ((1.0, base),)
+    parts = [(prior.alpha / total * w, measure) for w, measure in prior_parts]
+    parts.append((n / total, EmpiricalBase(ecdf_build(data))))
+
+    merged = []
+    for w, measure in parts:
+        for k, (wk, mk) in enumerate(merged):
+            if _per_obs_match(wk, mk, w, measure):
+                pooled = np.concatenate([mk.ecdf.support, measure.ecdf.support])
+                merged[k] = (wk + w, EmpiricalBase(ecdf_build(Dataset(pooled))))
+                break
+        else:
+            merged.append((w, measure))
+
+    if len(merged) == 1 and abs(merged[0][0] - 1.0) <= WEIGHT_SUM_TOL:
+        return DPParams(total, merged[0][1])
+    return DPParams(total, MixtureBase(tuple(merged)))
 
 
 def dp0_posterior(data: Dataset) -> DPParams:
@@ -68,46 +82,13 @@ def dp0_posterior(data: Dataset) -> DPParams:
     return DPParams(float(len(data)), EmpiricalBase(ecdf_build(data)))
 
 
-def _mix(parts) -> "MixtureBase | EmpiricalBase":
-    """Flatten one mixture level and pool compatible empirical parts.
-
-    Two empirical components merge when they put equal mass on each
-    underlying observation, which is exactly the condition under which
-    pooling their observations reproduces the weighted pair.
-    """
-    flat = []
-    for w, measure in parts:
-        if isinstance(measure, MixtureBase):
-            flat.extend((w * wi, mi) for wi, mi in measure.components)
-        else:
-            flat.append((w, measure))
-
-    merged = []
-    for w, measure in flat:
-        if isinstance(measure, EmpiricalBase):
-            for k, (wk, mk) in enumerate(merged):
-                if isinstance(mk, EmpiricalBase) and _per_obs_match(wk, mk, w, measure):
-                    merged[k] = (wk + w, _pool_empirical(mk, measure))
-                    break
-            else:
-                merged.append((w, measure))
-        else:
-            merged.append((w, measure))
-
-    if len(merged) == 1 and abs(merged[0][0] - 1.0) <= MIXTURE_WEIGHT_TOL:
-        return merged[0][1]
-    return MixtureBase(tuple(merged))
-
-
-def _per_obs_match(w1: float, emp1: EmpiricalBase, w2: float, emp2: EmpiricalBase) -> bool:
-    p1 = w1 / emp1.ecdf.n
-    p2 = w2 / emp2.ecdf.n
+def _per_obs_match(w1: float, m1, w2: float, m2) -> bool:
+    """Both components are empirical with equal mass on each observation."""
+    if not (isinstance(m1, EmpiricalBase) and isinstance(m2, EmpiricalBase)):
+        return False
+    p1 = w1 / m1.ecdf.n
+    p2 = w2 / m2.ecdf.n
     return abs(p1 - p2) <= _EMPIRICAL_MERGE_RTOL * max(p1, p2)
-
-
-def _pool_empirical(emp1: EmpiricalBase, emp2: EmpiricalBase) -> EmpiricalBase:
-    pooled = np.concatenate([emp1.ecdf.support, emp2.ecdf.support])
-    return EmpiricalBase(ecdf_build(Dataset(pooled)))
 
 
 def stick_break(dp: DPParams, epsilon: float, rng: RngStream) -> DiscreteMeasure:
@@ -132,30 +113,20 @@ def _stick_break(alpha: float, epsilon: float, gen, draw) -> tuple:
     inv_alpha = 1.0 / alpha
     atom_runs, weight_runs = [], []
     prefix = 1.0  # mass not yet broken off
-    drawn = 0
-    while True:
-        u = np.asarray(gen.random(block))
-        v = 1.0 - u**inv_alpha
+    for _ in range(_STICK_TOTAL_CAP // block + 1):
+        v = 1.0 - gen.random(block) ** inv_alpha
         atoms = draw(block, gen)
         remain = prefix * np.cumprod(1.0 - v)
-        weights = v * np.concatenate(([prefix], remain[:-1]))
         hit = np.flatnonzero(remain < epsilon)
+        k = int(hit[0]) + 1 if hit.size else block  # sticks kept from this block
+        atom_runs.append(atoms[:k])
+        weight_runs.append(v[:k] * np.concatenate(([prefix], remain[: k - 1])))
         if hit.size:
-            k = int(hit[0]) + 1
-            atom_runs.append(atoms[:k])
-            weight_runs.append(weights[:k])
-            residual = float(remain[hit[0]])
-            break
-        atom_runs.append(atoms)
-        weight_runs.append(weights)
+            all_weights = np.concatenate(weight_runs)
+            positive = all_weights > 0  # sticks of width 0 carry nothing
+            return np.concatenate(atom_runs)[positive], all_weights[positive], float(remain[k - 1])
         prefix = float(remain[-1])
-        drawn += block
-        if drawn > _STICK_TOTAL_CAP:
-            raise InvalidInputError("stick truncation did not converge; alpha too large")
-    all_atoms = np.concatenate(atom_runs)
-    all_weights = np.concatenate(weight_runs)
-    positive = all_weights > 0  # sticks of width 0 carry nothing
-    return all_atoms[positive], all_weights[positive], residual
+    raise InvalidInputError("stick truncation did not converge; alpha too large")
 
 
 def measure_sample(measure: DiscreteMeasure, count: int, rng: RngStream) -> Dataset:

@@ -29,6 +29,7 @@ from .core import (
     _as_finite_array,
     _check_count,
     _check_open_unit,
+    _check_real,
     _sample_base,
     derive_seed,
 )
@@ -223,8 +224,7 @@ def compare(
     null experiment.  `workers` is ignored; it stays only while
     bench/workloads.py passes it.
     """
-    if not (math.isfinite(threshold_factor) and threshold_factor > 0):
-        raise InvalidInputError("threshold_factor must be finite and positive")
+    _check_real(threshold_factor, "threshold_factor must be finite and positive", positive=True)
     # Both schemes are checked and the baseline is built first, so a bad
     # scheme or `reps` fails before any ensemble is built.
     for method in (method_a, method_b):

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -149,6 +153,10 @@ def test_posterior_conjugate_json(tmp_path, capsys):
     assert weights == [0.4, 0.6]
     assert components == ["normal(0,1)", "empirical"]
 
+    assert main(["posterior", "--input", str(path), "--alpha", "2", "--base", "uniform:0,1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [entry["component"] for entry in payload["mixture"]] == ["uniform(0,1)", "empirical"]
+
 
 def test_posterior_weak_limit_route(tmp_path, capsys):
     path = tmp_path / "four.txt"
@@ -177,6 +185,11 @@ def test_posterior_errors(tmp_path, capsys):
 
     assert main(["posterior", "--input", str(path), "--alpha", "1", "--base", "cauchy:0,1"]) == 2
     capsys.readouterr()
+
+    assert main(["posterior", "--input", str(path), "--alpha", "1", "--base", "normal:1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "dpboot: bad base measure: 'normal:1' (expected KIND:A,B)\n"
 
     empty = tmp_path / "empty.txt"
     empty.write_text("# nothing here\n")
@@ -349,3 +362,29 @@ def test_experiment_rejects_non_finite_threshold(capsys, threshold):
         "--threshold", threshold,
     ]) == 2
     assert "threshold" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# `python -m dpboot.cli` as a real process: the exit status reaches the shell
+
+
+def _run_module(args):
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-m", "dpboot.cli", *args], capture_output=True, env=env, timeout=120
+    )
+
+
+def test_module_entry_point_exit_status(tmp_path, sample_file, capsys):
+    argv = ["resample", "--input", sample_file, "--method", "dp-stickbreak", "--seed", "5"]
+    done = _run_module(argv)
+    assert done.returncode == 0 and done.stderr == b""
+    assert main(argv) == 0
+    assert done.stdout == capsys.readouterr().out.encode()
+
+    missing = str(tmp_path / "nope.txt")
+    failed = _run_module(["resample", "--input", missing, "--method", "bayesian"])
+    assert failed.returncode == 2 and failed.stdout == b""
+    assert failed.stderr.decode().startswith("dpboot: cannot read")

@@ -109,6 +109,13 @@ def test_ecdf_validation():
         EmpiricalCDF(np.array([1.0, 2.0]), np.array([1, 0]), 1)  # zero count
     with pytest.raises(InvalidInputError):
         EmpiricalCDF(np.array([1.0]), np.array([2]), 1)  # counts mismatch n
+    with pytest.raises(InvalidInputError, match="matching"):
+        EmpiricalCDF(np.array([1.0, 2.0]), np.array([2]), 2)  # lengths differ
+    e = _ecdf_of([1.0, 2.0])
+    for x in ("1", True, None, math.nan, math.inf):
+        with pytest.raises(InvalidInputError, match="evaluation point"):
+            ecdf_eval(e, x)
+    assert ecdf_eval(e, np.float64(1.0)) == ecdf_eval(e, 1) == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +180,12 @@ def test_mixture_validation():
         MixtureBase(((1.0, MixtureBase(((1.0, leaf),))),))  # nested
     with pytest.raises(InvalidInputError):
         MixtureBase(((-0.5, leaf), (1.5, leaf)))
+    for weight in ("0.5", True, math.nan, math.inf, None):
+        with pytest.raises(InvalidInputError, match="weights"):
+            MixtureBase(((weight, leaf), (0.5, leaf)))
+    with pytest.raises(InvalidInputError, match="base measures"):
+        MixtureBase(((0.5, leaf), (0.5, "uniform")))
+    assert MixtureBase(((np.float64(0.5), leaf), (0.5, leaf))).components[0][0] == 0.5
 
 
 def test_parametric_validation():
@@ -180,6 +193,14 @@ def test_parametric_validation():
         NormalBase(0.0, 0.0)
     with pytest.raises(InvalidInputError):
         UniformBase(1.0, 1.0)
+    for mean, sd in (("0", 1), (True, 1), (0, "1"), (0, True), (math.nan, 1), (0, math.inf)):
+        with pytest.raises(InvalidInputError, match="normal base"):
+            NormalBase(mean, sd)
+    for lo, hi in (("0", 1), (0, "1"), (False, 1), (0, True), (-math.inf, 0), (0, None)):
+        with pytest.raises(InvalidInputError, match="uniform base"):
+            UniformBase(lo, hi)
+    with pytest.raises(InvalidInputError, match="EmpiricalCDF"):
+        EmpiricalBase(Dataset([1.0, 2.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +210,8 @@ def test_parametric_validation():
 def test_dp_params_validation():
     # alpha must be finite and positive: the alpha -> 0 limit is only
     # reachable through dp0_posterior.
-    for alpha in (0.0, -0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(InvalidInputError, match="alpha"):
+    for alpha in (0.0, -0.0, -1.0, math.nan, math.inf, "2", True, False, None):
+        with pytest.raises(InvalidInputError, match="alpha must be finite and positive"):
             DPParams(alpha, UniformBase(0, 1))
     with pytest.raises(InvalidInputError, match="base measure is required"):
         DPParams(2.0, None)
@@ -208,6 +229,8 @@ def test_discrete_measure_validation():
         DiscreteMeasure(np.array([0.0]), np.array([0.0]), 1.0)  # zero weight
     with pytest.raises(InvalidInputError):
         DiscreteMeasure(np.array([0.0, 1.0]), np.array([1.0]), 0.0)  # length mismatch
+    with pytest.raises(InvalidInputError, match="residual"):
+        DiscreteMeasure(np.array([0.0]), np.array([1.0]), -1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +301,8 @@ def test_functional_construction():
         parse_functional("q:2")
     with pytest.raises(InvalidInputError):
         parse_functional("max")
+    with pytest.raises(InvalidInputError, match="bad quantile level"):
+        parse_functional("q:abc")
     assert quantile(0.25).label() == "q:0.25"
     assert MEAN.label() == "mean"
 
@@ -307,6 +332,9 @@ def test_rng_stream_validation():
         RngStream(0, 1 << 64)
     with pytest.raises(InvalidInputError):
         RngStream(1.5, 0)
+    for seed, stream_id in ((True, 0), (0, False), (np.bool_(True), 0)):
+        with pytest.raises(InvalidInputError):
+            RngStream(seed, stream_id)
 
 
 def test_derive_seed_is_deterministic_and_spread():
@@ -316,6 +344,6 @@ def test_derive_seed_is_deterministic_and_spread():
     assert all(0 <= s < 1 << 64 for s in seeds)
     assert derive_seed(77, 0) != derive_seed(78, 0)
     assert derive_seed(2**64 - 1, 0) == derive_seed(np.uint64(2**64 - 1), 0)
-    for seed in (-1, 2**64 + 5, 1.5):
+    for seed in (-1, 2**64 + 5, 1.5, True):
         with pytest.raises(InvalidInputError):
             derive_seed(seed, 0)

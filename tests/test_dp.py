@@ -24,6 +24,7 @@ from dpboot import (
     polya_urn_predictive,
     stick_break,
 )
+from dpboot.core import BaseMeasure, MixtureBase
 
 
 def _beta1_cdf(shape_b):
@@ -73,6 +74,16 @@ def test_conjugate_update_alpha_grows_by_n_exactly():
                 DPParams(alpha, UniformBase(0, 1)), Dataset(np.arange(float(n)))
             )
             assert post.alpha - alpha == n
+
+
+def test_conjugate_update_collapses_pooled_empirical_prior():
+    # Prior and data put equal mass (1/4) on each observation, so they
+    # pool into one empirical base of weight 1 rather than a mixture.
+    prior = DPParams(2.0, EmpiricalBase(ecdf_build(Dataset([1.0, 2.0]))))
+    post = conjugate_update(prior, Dataset([3.0, 4.0]))
+    assert post.alpha == 4.0
+    assert isinstance(post.base, EmpiricalBase)
+    assert list(post.base.ecdf.support) == [1.0, 2.0, 3.0, 4.0]
 
 
 def test_conjugate_update_is_batch_associative():
@@ -150,6 +161,8 @@ def test_stick_break_validation():
         stick_break(dp, 0.0, RngStream(0, 0))
     with pytest.raises(InvalidInputError):
         stick_break(dp, 1.0, RngStream(0, 0))
+    with pytest.raises(InvalidInputError, match="cannot sample from BaseMeasure"):
+        stick_break(DPParams(1.0, BaseMeasure()), 0.5, RngStream(0, 0))
 
 
 def test_stick_break_mass_accounting():

@@ -309,8 +309,9 @@ def test_verdict_is_recomputable_from_report():
 
 def test_compare_validation():
     data = Dataset([1.0, 2.0])
-    with pytest.raises(InvalidInputError):
-        compare(Method.FREQUENTIST, Method.FREQUENTIST, data, b=50, threshold_factor=0.0)
+    for factor in (0.0, -1.0, math.nan, math.inf, "2", True, None):
+        with pytest.raises(InvalidInputError, match="threshold_factor"):
+            compare(Method.FREQUENTIST, Method.FREQUENTIST, data, b=50, threshold_factor=factor)
     for reps in (2, 3.5, math.nan, "3"):
         with pytest.raises(InvalidInputError):
             compare(Method.FREQUENTIST, Method.FREQUENTIST, data, b=50, reps=reps)

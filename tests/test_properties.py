@@ -11,8 +11,11 @@ from hypothesis import strategies as st  # noqa: E402
 from dpboot import (  # noqa: E402
     Dataset,
     DPParams,
+    EmpiricalBase,
+    MixtureBase,
     NormalBase,
     conjugate_update,
+    ecdf_build,
     ks_two_sample,
     wasserstein1,
 )
@@ -40,12 +43,26 @@ def test_distance_is_a_metric_on_tied_samples(distance, a, b, c):
     values=st.lists(st.integers(0, 5).map(float), min_size=2, max_size=30),
     cuts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
     alpha=st.floats(0.1, 10.0),
+    pilot=st.one_of(
+        st.none(),
+        st.tuples(
+            st.floats(0.05, 0.95),
+            st.lists(st.integers(0, 3).map(float), min_size=1, max_size=6),
+        ),
+    ),
 )
-def test_conjugate_update_batches_agree_with_one_update(values, cuts, alpha):
+def test_conjugate_update_batches_agree_with_one_update(values, cuts, alpha, pilot):
     # Split the data at 1-3 random interior points and update batch by batch.
+    # The prior is normal, or a normal mixed with a tied empirical pilot.
     bounds = sorted({1 + int(c * (len(values) - 2)) for c in cuts})
     batches = np.split(np.array(values), bounds)
-    prior = DPParams(alpha, NormalBase(1.0, 2.0))
+    normal = NormalBase(1.0, 2.0)
+    if pilot is None:
+        prior = DPParams(alpha, normal)
+    else:
+        w, points = pilot
+        emp = EmpiricalBase(ecdf_build(Dataset(points)))
+        prior = DPParams(alpha, MixtureBase(((w, normal), (1.0 - w, emp))))
 
     chained = prior
     for batch in batches:
@@ -54,10 +71,14 @@ def test_conjugate_update_batches_agree_with_one_update(values, cuts, alpha):
 
     # (alpha + n1) + n2 and alpha + (n1 + n2) may differ in the last bit.
     assert abs(chained.alpha - once.alpha) <= 1e-12 * once.alpha
-    (cw, c_normal), (cw_emp, c_emp) = chained.base.components
-    (ow, o_normal), (ow_emp, o_emp) = once.base.components
-    assert c_normal is o_normal is prior.base
-    assert abs(cw - ow) <= 1e-12 and abs(cw_emp - ow_emp) <= 1e-12
-    assert np.array_equal(c_emp.ecdf.values, o_emp.ecdf.values)
-    assert np.array_equal(c_emp.ecdf.counts, o_emp.ecdf.counts)
-    assert c_emp.ecdf.n == o_emp.ecdf.n == len(values)
+    # The normal keeps its place; the pilot may pool with the data.
+    assert len(chained.base.components) == len(once.base.components)
+    for (cw, cm), (ow, om) in zip(chained.base.components, once.base.components):
+        assert abs(cw - ow) <= 1e-12
+        if isinstance(om, NormalBase):
+            assert cm is om is normal
+        else:
+            assert np.array_equal(cm.ecdf.values, om.ecdf.values)
+            assert np.array_equal(cm.ecdf.counts, om.ecdf.counts)
+            assert cm.ecdf.n == om.ecdf.n
+    assert once.base.components[-1][1].ecdf.n >= len(values)

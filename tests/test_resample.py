@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import ForcedStream
 
 from dpboot import (
     Dataset,
@@ -81,6 +82,13 @@ def test_weights_first_coordinate_is_beta():
     first = np.array([bayesian_bootstrap_weights(25, RngStream(5, i))[0] for i in range(reps)])
     d = ks_one_sample(first, lambda x: 1.0 - (1.0 - min(max(x, 0.0), 1.0)) ** 24)
     assert kolmogorov_sf(math.sqrt(reps) * d) > 0.01
+
+
+def test_weights_redraw_zero_uniforms():
+    # The exact 0.0 would give an infinite exponential; it is redrawn as 0.25.
+    w = bayesian_bootstrap_weights(2, ForcedStream(sequence=[0.0, 0.5, 0.25]))
+    e = -np.log(np.array([0.25, 0.5]))
+    assert np.array_equal(w, e / e.sum())
 
 
 def test_weights_validation():
@@ -174,9 +182,14 @@ def test_make_ensemble_validation():
         make_ensemble(Method.DP_STICK_BREAK, data, 5, MEAN, epsilon=2.0)
     with pytest.raises(TypeError):
         make_ensemble(Method.FREQUENTIST, data, 5, MEAN, workers=1)
+    with pytest.raises(InvalidInputError, match="Dataset"):
+        make_ensemble(Method.FREQUENTIST, [1.0, 2.0], 5, MEAN)
+    for seed in (True, False):
+        with pytest.raises(InvalidInputError, match="seed"):
+            make_ensemble(Method.FREQUENTIST, data, 5, MEAN, master_seed=seed)
 
 
-@pytest.mark.parametrize("count", [2.5, math.nan, "2", 2.0, np.float64(3.0)])
+@pytest.mark.parametrize("count", [2.5, math.nan, "2", 2.0, np.float64(3.0), True, False])
 def test_make_ensemble_rejects_non_integral_b(count):
     data = Dataset([1.0, 2.0])
     with pytest.raises(InvalidInputError):
