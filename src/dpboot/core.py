@@ -65,8 +65,9 @@ def _check_real(value, message: str, positive: bool = False) -> float:
 
 def _check_open_unit(value, name: str):
     """`value` must be a real number in the open interval (0, 1)."""
-    if not isinstance(value, numbers.Real) or not 0.0 < value < 1.0:
-        raise InvalidInputError(f"{name} must lie strictly inside (0, 1)")
+    message = f"{name} must lie strictly inside (0, 1)"
+    if not 0.0 < _check_real(value, message) < 1.0:
+        raise InvalidInputError(message)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Property forms of the metric axioms and of batch-wise conjugate updating."""
 
+import math
+
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from dpboot import (  # noqa: E402
@@ -51,6 +53,9 @@ def test_distance_is_a_metric_on_tied_samples(distance, a, b, c):
         ),
     ),
 )
+# A pilot of two points at weight 0.5 under alpha 4 has mass 1/(alpha + n) per
+# point, like the data, so it pools with them.
+@example(values=[0.0, 1.0, 1.0, 3.0], cuts=[0.5], alpha=4.0, pilot=(0.5, [1.0, 2.0]))
 def test_conjugate_update_batches_agree_with_one_update(values, cuts, alpha, pilot):
     # Split the data at 1-3 random interior points and update batch by batch.
     # The prior is normal, or a normal mixed with a tied empirical pilot.
@@ -71,14 +76,19 @@ def test_conjugate_update_batches_agree_with_one_update(values, cuts, alpha, pil
 
     # (alpha + n1) + n2 and alpha + (n1 + n2) may differ in the last bit.
     assert abs(chained.alpha - once.alpha) <= 1e-12 * once.alpha
-    # The normal keeps its place; the pilot may pool with the data.
-    assert len(chained.base.components) == len(once.base.components)
-    for (cw, cm), (ow, om) in zip(chained.base.components, once.base.components):
+    # The normal comes first, unchanged.  A pilot whose mass per point equals
+    # the data's (1/(alpha + n) each) pools with the data; otherwise it stays
+    # its own component, unchanged, between the normal and the data.
+    per_point = None if pilot is None else (1.0 - w) * alpha / len(points)
+    pools = per_point is not None and math.isclose(per_point, 1.0, rel_tol=1e-12)
+    expected = [normal] if pilot is None or pools else [normal, emp]
+    n_data = len(values) + (len(points) if pools else 0)
+    for components in (chained.base.components, once.base.components):
+        assert len(components) == len(expected) + 1
+        assert all(m is e for (_, m), e in zip(components, expected))
+        assert components[-1][1].ecdf.n == n_data
+    for (cw, _), (ow, _) in zip(chained.base.components, once.base.components):
         assert abs(cw - ow) <= 1e-12
-        if isinstance(om, NormalBase):
-            assert cm is om is normal
-        else:
-            assert np.array_equal(cm.ecdf.values, om.ecdf.values)
-            assert np.array_equal(cm.ecdf.counts, om.ecdf.counts)
-            assert cm.ecdf.n == om.ecdf.n
-    assert once.base.components[-1][1].ecdf.n >= len(values)
+    (_, c_emp), (_, o_emp) = chained.base.components[-1], once.base.components[-1]
+    assert np.array_equal(c_emp.ecdf.values, o_emp.ecdf.values)
+    assert np.array_equal(c_emp.ecdf.counts, o_emp.ecdf.counts)
