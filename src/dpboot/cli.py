@@ -96,12 +96,15 @@ def _cmd_resample(args) -> int:
 
 
 def _describe_base(base) -> list:
+    def num(x: float) -> str:  # short form unless it would lose digits
+        return f"{x:g}" if float(f"{x:g}") == x else repr(x)
+
     def label(measure) -> str:
         if isinstance(measure, EmpiricalBase):
             return "empirical"
         if isinstance(measure, NormalBase):
-            return f"normal({measure.mean:g},{measure.sd:g})"
-        return f"uniform({measure.lo:g},{measure.hi:g})"  # the only other kind parsed
+            return f"normal({num(measure.mean)},{num(measure.sd)})"
+        return f"uniform({num(measure.lo)},{num(measure.hi)})"  # the only other kind parsed
 
     components = base.components if isinstance(base, MixtureBase) else ((1.0, base),)
     return [{"weight": float(w), "component": label(m)} for w, m in components]

@@ -17,6 +17,7 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 WEIGHT_SUM_TOL = 1e-12  # mixture weights, and stick weights plus residual, sum to 1
 
@@ -35,7 +36,7 @@ def _as_finite_array(values, what: str) -> np.ndarray:
         raise InvalidInputError(f"{what} must be one-dimensional")
     if arr.size == 0:
         raise InvalidInputError(f"{what} must be nonempty")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInputError(f"{what} must be finite (no NaN or inf)")
     return arr
 
@@ -63,11 +64,13 @@ def _check_real(value, message: str, positive: bool = False) -> float:
     return float(value)
 
 
-def _check_open_unit(value, name: str):
-    """`value` must be a real number in the open interval (0, 1)."""
+def _check_open_unit(value, name: str) -> float:
+    """`value` as a float: a real number in the open interval (0, 1)."""
     message = f"{name} must lie strictly inside (0, 1)"
-    if not 0.0 < _check_real(value, message) < 1.0:
+    value = _check_real(value, message)
+    if not 0.0 < value < 1.0:
         raise InvalidInputError(message)
+    return value
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -94,13 +97,23 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self):
-        for name in ("master_seed", "stream_id"):
-            _check_seed(getattr(self, name), name)
+        _check_seed(self.master_seed, "master_seed")
+        _check_seed(self.stream_id, "stream_id")
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of the stream."""
         key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+
+
+@dataclass
+class _PhiloxKey(ISeedSequence):
+    """Hands Philox its key as is; `Philox(key=...)` would first draw OS entropy."""
+
+    key: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint64):
+        return self.key
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -119,7 +132,7 @@ def derive_seed(seed: int, index: int) -> int:
 
 def _uniform_indices(n: int, size: int, gen) -> np.ndarray:
     """`size` uniform indices into range(n), one uniform deviate each."""
-    return (np.asarray(gen.random(size)) * n).astype(np.int64)
+    return (gen.random(size) * n).astype(np.int64)
 
 
 def _open_uniforms(size: int, gen) -> np.ndarray:
@@ -263,14 +276,14 @@ def _sample_base(base: BaseMeasure, size: int, gen) -> np.ndarray:
     if isinstance(base, EmpiricalBase):
         return base.ecdf.support[_uniform_indices(base.ecdf.n, size, gen)]
     if isinstance(base, UniformBase):
-        return base.lo + (base.hi - base.lo) * np.asarray(gen.random(size))
+        return base.lo + (base.hi - base.lo) * gen.random(size)
     if isinstance(base, NormalBase):
         dist = statistics.NormalDist(base.mean, base.sd)
         return np.array([dist.inv_cdf(u) for u in _open_uniforms(size, gen)])
     if isinstance(base, MixtureBase):
         cut = np.cumsum([w for w, _ in base.components])
         cut /= cut[-1]
-        which = np.searchsorted(cut, np.asarray(gen.random(size)), side="right")
+        which = np.searchsorted(cut, gen.random(size), side="right")
         out = np.empty(size, dtype=np.float64)
         for j, (_, measure) in enumerate(base.components):
             slots = np.flatnonzero(which == j)
@@ -357,7 +370,7 @@ class Functional:
         if self.kind not in _FUNCTIONAL_KINDS:
             raise InvalidInputError(f"unknown functional kind: {self.kind!r}")
         if self.kind == "quantile":
-            _check_open_unit(self.p, "quantile level")
+            object.__setattr__(self, "p", _check_open_unit(self.p, "quantile level"))
         elif self.p is not None:
             raise InvalidInputError(f"{self.kind} takes no level parameter")
 
@@ -371,7 +384,7 @@ STDDEV = Functional("sd")
 
 
 def quantile(p: float) -> Functional:
-    return Functional("quantile", float(p))
+    return Functional("quantile", p)
 
 
 def parse_functional(text: str) -> Functional:
@@ -403,7 +416,7 @@ def apply_functional(functional: Functional, values, weights=None) -> float:
         w = _as_finite_array(weights, "weights")
         if w.size != y.size:
             raise InvalidInputError("weights must match the sample length")
-        if np.any(w < 0):
+        if (w < 0).any():
             raise InvalidInputError("weights must be nonnegative")
         total = float(w.sum())
         if total <= 0:
@@ -421,7 +434,7 @@ def apply_functional(functional: Functional, values, weights=None) -> float:
         dev = centered - (w * centered).sum() / total
         return float(math.sqrt(((dev * dev) * w).sum() / total))
 
-    p = 0.5 if kind == "median" else float(functional.p)
+    p = 0.5 if kind == "median" else functional.p
     order = np.argsort(y, kind="stable")
     cum = np.cumsum(w[order]) / total
     idx = int(np.searchsorted(cum, p, side="left"))

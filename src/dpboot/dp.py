@@ -138,7 +138,7 @@ def measure_sample(measure: DiscreteMeasure, count: int, rng: RngStream) -> Data
 def _measure_draws(weights: np.ndarray, count: int, gen) -> np.ndarray:
     cum = np.cumsum(weights)
     cum /= cum[-1]
-    return np.searchsorted(cum, np.asarray(gen.random(count)), side="right")
+    return np.searchsorted(cum, gen.random(count), side="right")
 
 
 def polya_urn_predictive(dp: DPParams, count: int, rng: RngStream) -> Dataset:
@@ -153,19 +153,18 @@ def polya_urn_predictive(dp: DPParams, count: int, rng: RngStream) -> Dataset:
 
 
 def _urn_draws(dp: DPParams, count: int, gen) -> np.ndarray:
-    # Candidate fresh values and both uniform streams are drawn up
-    # front so the Python loop below touches the generator-free path.
+    # Draw i copies draw int(u_pick * i) unless it is fresh, when it is
+    # its own parent.  Pointer jumping (Wyllie 1979) follows every copy
+    # chain to its fresh root: each round doubles the span of a jump,
+    # and no chain is longer than count - 1 steps.
     fresh = _sample_base(dp.base, count, gen)
-    u_branch = np.asarray(gen.random(count))
-    u_pick = np.asarray(gen.random(count))
-    out = np.empty(count, dtype=np.float64)
-    alpha = dp.alpha
-    for i in range(count):
-        if u_branch[i] * (alpha + i) < alpha:
-            out[i] = fresh[i]
-        else:
-            out[i] = out[int(u_pick[i] * i)]
-    return out
+    u_branch = gen.random(count)
+    u_pick = gen.random(count)
+    i = np.arange(count)
+    parent = np.where(u_branch * (dp.alpha + i) < dp.alpha, i, (u_pick * i).astype(np.int64))
+    for _ in range((count - 1).bit_length()):
+        parent = parent[parent]
+    return fresh[parent]
 
 
 def atom_masses(measure: DiscreteMeasure, values) -> np.ndarray:

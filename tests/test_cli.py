@@ -157,6 +157,13 @@ def test_posterior_conjugate_json(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert [entry["component"] for entry in payload["mixture"]] == ["uniform(0,1)", "empirical"]
 
+    # Parameters that six significant digits would round are printed in full.
+    for base, label in (("normal:0.1234567,1e-7", "normal(0.1234567,1e-07)"),
+                        ("uniform:-2.5,1234567", "uniform(-2.5,1234567.0)")):
+        assert main(["posterior", "--input", str(path), "--alpha", "2", "--base", base]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [entry["component"] for entry in payload["mixture"]] == [label, "empirical"]
+
 
 def test_posterior_weak_limit_route(tmp_path, capsys):
     path = tmp_path / "four.txt"

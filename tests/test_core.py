@@ -305,6 +305,13 @@ def test_functional_construction():
         parse_functional("q:abc")
     assert quantile(0.25).label() == "q:0.25"
     assert MEAN.label() == "mean"
+    # The level goes through the one real-number rule: no strings, no bools.
+    for level in ("0.5", True, None):
+        with pytest.raises(InvalidInputError, match="quantile level"):
+            quantile(level)
+    level = parse_functional("q:0.5").p
+    assert type(level) is float and level == 0.5
+    assert type(quantile(np.float64(0.5)).p) is float
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +330,33 @@ def test_distinct_stream_ids_differ():
     c = RngStream(2, 0).generator().random(64)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+@pytest.mark.parametrize("stream_id", [0, 1, 2**64 - 1])
+def test_generator_is_philox_keyed_by_seed_and_stream(seed, stream_id):
+    # The stream is numpy's Philox keyed (seed, stream_id) at counter 0,
+    # however the generator is built.
+    def keyed():
+        key = np.array([seed, stream_id], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
+
+    def same_state(a, b):  # the state dict holds small arrays, printed in full
+        assert repr(a.bit_generator.state) == repr(b.bit_generator.state)
+
+    stream = RngStream(seed, stream_id)
+    gen, ref = stream.generator(), keyed()
+    same_state(gen, ref)
+    for k in (1, 3, 4, 5, 1000):
+        assert gen.random(k).tobytes() == ref.random(k).tobytes()
+        same_state(gen, ref)
+        assert stream.generator().random(k).tobytes() == keyed().random(k).tobytes()
+    # Every call is a fresh generator at the start of the stream.
+    first, second = stream.generator(), stream.generator()
+    assert first.bit_generator is not second.bit_generator
+    head = first.random(5)
+    assert second.random(5).tobytes() == head.tobytes()
+    assert stream.generator().random(5).tobytes() == head.tobytes()
 
 
 def test_rng_stream_validation():

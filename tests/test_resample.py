@@ -184,7 +184,7 @@ def test_make_ensemble_validation():
         make_ensemble(Method.FREQUENTIST, data, 5, MEAN, workers=1)
     with pytest.raises(InvalidInputError, match="Dataset"):
         make_ensemble(Method.FREQUENTIST, [1.0, 2.0], 5, MEAN)
-    for seed in (True, False):
+    for seed in (True, False, -1, 2**64, 1.0, "3"):
         with pytest.raises(InvalidInputError, match="seed"):
             make_ensemble(Method.FREQUENTIST, data, 5, MEAN, master_seed=seed)
 
