@@ -4,7 +4,6 @@ from .core import (
     Dataset,
     DiscreteMeasure,
     DPParams,
-    EmpiricalBase,
     EmpiricalCDF,
     Functional,
     InvalidInputError,

@@ -22,7 +22,7 @@ from dataclasses import asdict
 from .core import (
     Dataset,
     DPParams,
-    EmpiricalBase,
+    EmpiricalCDF,
     InvalidInputError,
     MixtureBase,
     NormalBase,
@@ -100,7 +100,7 @@ def _describe_base(base) -> list:
         return f"{x:g}" if float(f"{x:g}") == x else repr(x)
 
     def label(measure) -> str:
-        if isinstance(measure, EmpiricalBase):
+        if isinstance(measure, EmpiricalCDF):
             return "empirical"
         if isinstance(measure, NormalBase):
             return f"normal({num(measure.mean)},{num(measure.sd)})"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -30,15 +30,17 @@ class InvalidInputError(ValueError):
 
 
 def _as_finite_array(values, what: str) -> np.ndarray:
-    """`values` as a nonempty one-dimensional array of finite floats."""
-    arr = np.asarray(values, dtype=np.float64)
+    """`values` as a nonempty one-dimensional array of finite floats; no bools or strings."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise InvalidInputError(f"{what} must hold real numbers")
     if arr.ndim != 1:
         raise InvalidInputError(f"{what} must be one-dimensional")
     if arr.size == 0:
         raise InvalidInputError(f"{what} must be nonempty")
-    if not np.isfinite(arr).all():
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:  # faster than .all() on small arrays
         raise InvalidInputError(f"{what} must be finite (no NaN or inf)")
-    return arr
+    return arr.astype(np.float64, copy=False)
 
 
 def _check_count(value, name: str, minimum: int = 1) -> int:
@@ -162,28 +164,31 @@ class Dataset:
         return int(self.values.size)
 
 
+class BaseMeasure:
+    """Where prior mass lives; concrete measures sample by inverse CDF."""
+
+
 @dataclass(frozen=True, eq=False)
-class EmpiricalCDF:
-    """Step CDF of a dataset: distinct sorted values with multiplicities."""
+class EmpiricalCDF(BaseMeasure):
+    """Step CDF of a dataset, and the base measure with mass 1/n on each observation."""
 
     values: np.ndarray
     counts: np.ndarray
-    n: int
+    n: int = field(init=False)  # counts.sum(), stored once for the samplers
 
     def __post_init__(self):
         values = _freeze(_as_finite_array(self.values, "ECDF values"))
-        counts = _freeze(np.asarray(self.counts, dtype=np.int64))
+        counts = np.asarray(self.counts)
+        if counts.dtype.kind not in "iu" or not np.all(counts >= 1):
+            raise InvalidInputError("ECDF counts must be positive integers")
+        counts = _freeze(counts.astype(np.int64))
         if values.size != counts.size:
             raise InvalidInputError("ECDF needs matching values and counts")
         if not np.all(np.diff(values) > 0):
             raise InvalidInputError("ECDF values must be strictly increasing")
-        if not np.all(counts >= 1):
-            raise InvalidInputError("ECDF counts must be positive")
-        if int(counts.sum()) != int(self.n):
-            raise InvalidInputError("ECDF counts must sum to n")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", int(counts.sum()))
 
     @cached_property
     def support(self) -> np.ndarray:
@@ -194,7 +199,7 @@ class EmpiricalCDF:
 def ecdf_build(data: Dataset) -> EmpiricalCDF:
     """Empirical CDF of a dataset; ties are kept as multiplicities."""
     values, counts = np.unique(data.values, return_counts=True)
-    return EmpiricalCDF(values, counts, len(data))
+    return EmpiricalCDF(values, counts)
 
 
 def ecdf_eval(ecdf: EmpiricalCDF, x: float) -> float:
@@ -205,21 +210,6 @@ def ecdf_eval(ecdf: EmpiricalCDF, x: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Base measures
-
-
-class BaseMeasure:
-    """Where prior mass lives; concrete measures sample by inverse CDF."""
-
-
-@dataclass(frozen=True, eq=False)
-class EmpiricalBase(BaseMeasure):
-    """Uniform mass over the observations behind an empirical CDF."""
-
-    ecdf: EmpiricalCDF
-
-    def __post_init__(self):
-        if not isinstance(self.ecdf, EmpiricalCDF):
-            raise InvalidInputError("empirical base needs an EmpiricalCDF")
 
 
 @dataclass(frozen=True)
@@ -273,8 +263,8 @@ def _sample_base(base: BaseMeasure, size: int, gen) -> np.ndarray:
     block, which keeps stream prefixes stable when callers extend a
     truncated run on the same stream.
     """
-    if isinstance(base, EmpiricalBase):
-        return base.ecdf.support[_uniform_indices(base.ecdf.n, size, gen)]
+    if isinstance(base, EmpiricalCDF):
+        return base.support[_uniform_indices(base.n, size, gen)]
     if isinstance(base, UniformBase):
         return base.lo + (base.hi - base.lo) * gen.random(size)
     if isinstance(base, NormalBase):
@@ -339,9 +329,10 @@ class DiscreteMeasure:
             raise InvalidInputError("atoms and weights must be matched")
         if not (np.all(weights > 0) and np.all(weights <= 1)):
             raise InvalidInputError("weights must lie in (0, 1]")
-        residual = float(self.residual)
-        if not math.isfinite(residual) or residual < 0:
-            raise InvalidInputError("residual must be finite and nonnegative")
+        message = "residual must be finite and nonnegative"
+        residual = _check_real(self.residual, message)
+        if residual < 0:
+            raise InvalidInputError(message)
         if abs(float(weights.sum()) + residual - 1.0) > WEIGHT_SUM_TOL:
             raise InvalidInputError("weights plus residual must sum to 1")
         object.__setattr__(self, "atoms", atoms)

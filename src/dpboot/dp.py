@@ -19,10 +19,11 @@ from .core import (
     Dataset,
     DiscreteMeasure,
     DPParams,
-    EmpiricalBase,
+    EmpiricalCDF,
     InvalidInputError,
     MixtureBase,
     RngStream,
+    _as_finite_array,
     _check_count,
     _check_open_unit,
     _sample_base,
@@ -56,14 +57,14 @@ def conjugate_update(prior: DPParams, data: Dataset) -> DPParams:
     base = prior.base
     prior_parts = base.components if isinstance(base, MixtureBase) else ((1.0, base),)
     parts = [(prior.alpha / total * w, measure) for w, measure in prior_parts]
-    parts.append((n / total, EmpiricalBase(ecdf_build(data))))
+    parts.append((n / total, ecdf_build(data)))
 
     merged = []
     for w, measure in parts:
         for k, (wk, mk) in enumerate(merged):
             if _per_obs_match(wk, mk, w, measure):
-                pooled = np.concatenate([mk.ecdf.support, measure.ecdf.support])
-                merged[k] = (wk + w, EmpiricalBase(ecdf_build(Dataset(pooled))))
+                pooled = np.concatenate([mk.support, measure.support])
+                merged[k] = (wk + w, ecdf_build(Dataset(pooled)))
                 break
         else:
             merged.append((w, measure))
@@ -79,15 +80,15 @@ def dp0_posterior(data: Dataset) -> DPParams:
     The alpha -> 0 limit of conjugate updating: concentration n, base
     the plain empirical CDF.
     """
-    return DPParams(float(len(data)), EmpiricalBase(ecdf_build(data)))
+    return DPParams(float(len(data)), ecdf_build(data))
 
 
 def _per_obs_match(w1: float, m1, w2: float, m2) -> bool:
     """Both components are empirical with equal mass on each observation."""
-    if not (isinstance(m1, EmpiricalBase) and isinstance(m2, EmpiricalBase)):
+    if not (isinstance(m1, EmpiricalCDF) and isinstance(m2, EmpiricalCDF)):
         return False
-    p1 = w1 / m1.ecdf.n
-    p2 = w2 / m2.ecdf.n
+    p1 = w1 / m1.n
+    p2 = w2 / m2.n
     return abs(p1 - p2) <= _EMPIRICAL_MERGE_RTOL * max(p1, p2)
 
 
@@ -174,9 +175,9 @@ def atom_masses(measure: DiscreteMeasure, values) -> np.ndarray:
     measure; suited to measures realized over an empirical base, whose
     atoms live on the data grid.
     """
-    grid = np.asarray(values, dtype=np.float64)
-    if grid.size == 0 or (grid.size > 1 and not np.all(np.diff(grid) > 0)):
-        raise InvalidInputError("query values must be nonempty and strictly increasing")
+    grid = _as_finite_array(values, "query values")
+    if not np.all(np.diff(grid) > 0):
+        raise InvalidInputError("query values must be strictly increasing")
     idx = np.searchsorted(grid, measure.atoms)
     clipped = np.minimum(idx, grid.size - 1)
     if not np.all(grid[clipped] == measure.atoms):

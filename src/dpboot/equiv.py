@@ -6,8 +6,11 @@ against a self-calibration baseline: the distances observed between
 independent runs of the SAME scheme at the same replication count.  A
 cross-scheme distance within `threshold_factor` times the median
 self-distance, on both metrics, earns the indistinguishable verdict.
-The verdict is therefore scale-free and does not depend on the
-replication count.
+The verdict is therefore scale-free in the data's units.  It is not
+free of the replication count B: the self-distances shrink like
+1/sqrt(B) while the cross distance tends to the true distance between
+the two laws, so at a fixed B the verdict is a test whose power grows
+with B.
 """
 
 from __future__ import annotations

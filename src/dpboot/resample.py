@@ -81,12 +81,12 @@ def _support_sticks(posterior, epsilon, gen) -> tuple:
     # Every atom of DP(n, ecdf) is an observation: the atoms are drawn
     # as indices into the sorted support, from the uniforms that
     # _sample_base would turn into the values themselves.
-    draw = functools.partial(_uniform_indices, posterior.base.ecdf.n)
+    draw = functools.partial(_uniform_indices, posterior.base.n)
     return _stick_break(posterior.alpha, epsilon, gen, draw)
 
 
 def _stick_masses(data, posterior, epsilon):
-    ecdf = posterior.base.ecdf
+    ecdf = posterior.base
     distinct = np.repeat(np.arange(ecdf.values.size), ecdf.counts)  # support slot -> value
     line = np.searchsorted(ecdf.values, data.values)
     line_counts = ecdf.counts[line]
@@ -100,7 +100,7 @@ def _stick_masses(data, posterior, epsilon):
 
 
 def _stick_points(data, posterior, epsilon):
-    support = posterior.base.ecdf.support
+    support = posterior.base.support
 
     def kernel(gen):
         idx, weights, _ = _support_sticks(posterior, epsilon, gen)
@@ -162,15 +162,17 @@ class Ensemble:
     values: np.ndarray
     master_seed: int
     n: int
-    b: int
 
     def __post_init__(self):
         _check_count(self.n, "n")
         _check_seed(self.master_seed, "master_seed")
-        arr = _as_finite_array(self.values, "ensemble values")
-        if arr.size != _check_count(self.b, "b"):
-            raise InvalidInputError("ensemble must hold exactly b values")
-        object.__setattr__(self, "values", _freeze(arr))
+        values = _freeze(_as_finite_array(self.values, "ensemble values"))
+        object.__setattr__(self, "values", values)
+
+    @property
+    def b(self) -> int:
+        """The replication count: one value per replication."""
+        return int(self.values.size)
 
 
 def make_ensemble(
@@ -196,4 +198,4 @@ def make_ensemble(
         return apply_functional(functional, *kernel(RngStream(master_seed, i).generator()))
 
     values = np.fromiter(map(replicate, range(b)), dtype=np.float64, count=b)
-    return Ensemble(method, functional, values, int(master_seed), len(data), b)
+    return Ensemble(method, functional, values, int(master_seed), len(data))

@@ -12,7 +12,7 @@ import numpy as np
 from dpboot import (
     Dataset,
     DPParams,
-    EmpiricalBase,
+    EmpiricalCDF,
     MEAN,
     Method,
     NormalBase,
@@ -62,7 +62,7 @@ def test_criterion_2_weak_limit_agreement():
     w_prior, w_emp = (w for w, _ in approx.base.components)
     ok = (
         limit.alpha == float(len(data))
-        and isinstance(limit.base, EmpiricalBase)
+        and isinstance(limit.base, EmpiricalCDF)
         and abs(approx.alpha - limit.alpha) <= 1e-5
         and abs(w_emp - 1.0) <= 1e-5
         and abs(w_prior) <= 1e-5

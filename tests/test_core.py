@@ -8,7 +8,6 @@ from dpboot import (
     Dataset,
     DiscreteMeasure,
     DPParams,
-    EmpiricalBase,
     EmpiricalCDF,
     Functional,
     InvalidInputError,
@@ -27,7 +26,7 @@ from dpboot import (
     parse_functional,
     quantile,
 )
-from dpboot.core import _sample_base
+from dpboot.core import BaseMeasure, _sample_base
 
 
 def _ecdf_of(values):
@@ -45,6 +44,10 @@ def test_dataset_rejects_empty_and_nonfinite():
         Dataset([1.0, float("nan")])
     with pytest.raises(InvalidInputError):
         Dataset([float("inf")])
+    for values in (["1.5"], [True], [1.0, "2"], [None]):
+        with pytest.raises(InvalidInputError, match="real numbers"):
+            Dataset(values)
+    assert Dataset([1, 2]).values.dtype == np.float64  # integers are real numbers
 
 
 def test_dataset_values_are_immutable():
@@ -57,7 +60,8 @@ def test_ecdf_build_singleton():
     e = _ecdf_of([7.0])
     assert list(e.values) == [7.0]
     assert list(e.counts) == [1]
-    assert e.n == 1
+    assert e.n == 1 and type(e.n) is int
+    assert isinstance(e, BaseMeasure)  # the empirical CDF is the empirical base measure
 
 
 def test_ecdf_build_counts_multiplicities():
@@ -104,13 +108,19 @@ def test_ecdf_monotone_and_bounded_on_random_data():
 
 def test_ecdf_validation():
     with pytest.raises(InvalidInputError):
-        EmpiricalCDF(np.array([2.0, 1.0]), np.array([1, 1]), 2)  # not increasing
+        EmpiricalCDF(np.array([2.0, 1.0]), np.array([1, 1]))  # not increasing
     with pytest.raises(InvalidInputError):
-        EmpiricalCDF(np.array([1.0, 2.0]), np.array([1, 0]), 1)  # zero count
-    with pytest.raises(InvalidInputError):
-        EmpiricalCDF(np.array([1.0]), np.array([2]), 1)  # counts mismatch n
+        EmpiricalCDF(np.array([1.0, 2.0]), np.array([1, 0]))  # zero count
     with pytest.raises(InvalidInputError, match="matching"):
-        EmpiricalCDF(np.array([1.0, 2.0]), np.array([2]), 2)  # lengths differ
+        EmpiricalCDF(np.array([1.0, 2.0]), np.array([2]))  # lengths differ
+    for counts in ([1.9, 1], [True], [2.0, 1.0], ["1", "1"]):
+        with pytest.raises(InvalidInputError, match="counts must be positive integers"):
+            EmpiricalCDF([1.0, 2.0][: len(counts)], counts)
+    # n is worked out from the counts, never passed.
+    e = EmpiricalCDF([1.0, 2.0], np.array([2, 3], dtype=np.uint8))
+    assert e.n == 5 and type(e.n) is int
+    with pytest.raises(TypeError):
+        EmpiricalCDF([1.0], [1], 1)
     e = _ecdf_of([1.0, 2.0])
     for x in ("1", True, None, math.nan, math.inf):
         with pytest.raises(InvalidInputError, match="evaluation point"):
@@ -123,12 +133,12 @@ def test_ecdf_validation():
 
 
 def test_base_sample_single_atom():
-    base = EmpiricalBase(_ecdf_of([7.0]))
+    base = _ecdf_of([7.0])
     assert base_sample(base, RngStream(0, 0)) == 7.0
 
 
 def test_base_sample_degenerate_mixture():
-    base = MixtureBase(((1.0, EmpiricalBase(_ecdf_of([5.0]))),))
+    base = MixtureBase(((1.0, _ecdf_of([5.0])),))
     assert base_sample(base, RngStream(1, 0)) == 5.0
 
 
@@ -140,9 +150,7 @@ def test_base_sample_uniform_identity_inverse_cdf():
 def test_base_sample_mixture_component_selection():
     # First uniform 0.7 picks the second component (cut at 0.5); second
     # uniform 0.0 picks that component's first support point.
-    base = MixtureBase(
-        ((0.5, EmpiricalBase(_ecdf_of([1.0]))), (0.5, EmpiricalBase(_ecdf_of([9.0]))))
-    )
+    base = MixtureBase(((0.5, _ecdf_of([1.0])), (0.5, _ecdf_of([9.0]))))
     assert base_sample(base, ForcedStream(sequence=[0.7, 0.0])) == 9.0
     assert base_sample(base, ForcedStream(sequence=[0.2, 0.0])) == 1.0
 
@@ -161,7 +169,7 @@ def test_base_sample_normal_matches_scipy_ndtri():
 
 def test_empirical_sampling_respects_support_and_multiplicity():
     data = Dataset([1.0, 2.0, 2.0, 4.0])
-    base = EmpiricalBase(ecdf_build(data))
+    base = ecdf_build(data)
     gen = RngStream(11, 0).generator()
     draws = np.array([base_sample(base, RngStream(11, i)) for i in range(400)])
     assert set(draws) <= {1.0, 2.0, 4.0}
@@ -199,8 +207,6 @@ def test_parametric_validation():
     for lo, hi in (("0", 1), (0, "1"), (False, 1), (0, True), (-math.inf, 0), (0, None)):
         with pytest.raises(InvalidInputError, match="uniform base"):
             UniformBase(lo, hi)
-    with pytest.raises(InvalidInputError, match="EmpiricalCDF"):
-        EmpiricalBase(Dataset([1.0, 2.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +219,9 @@ def test_dp_params_validation():
     for alpha in (0.0, -0.0, -1.0, math.nan, math.inf, "2", True, False, None):
         with pytest.raises(InvalidInputError, match="alpha must be finite and positive"):
             DPParams(alpha, UniformBase(0, 1))
-    with pytest.raises(InvalidInputError, match="base measure is required"):
-        DPParams(2.0, None)
+    for base in (None, Dataset([1.0, 2.0])):  # a dataset is not its empirical CDF
+        with pytest.raises(InvalidInputError, match="base measure is required"):
+            DPParams(2.0, base)
     with pytest.raises(TypeError):
         DPParams(2.0)  # the base has no default
     dp = DPParams(2, UniformBase(0, 1))
@@ -229,8 +236,9 @@ def test_discrete_measure_validation():
         DiscreteMeasure(np.array([0.0]), np.array([0.0]), 1.0)  # zero weight
     with pytest.raises(InvalidInputError):
         DiscreteMeasure(np.array([0.0, 1.0]), np.array([1.0]), 0.0)  # length mismatch
-    with pytest.raises(InvalidInputError, match="residual"):
-        DiscreteMeasure(np.array([0.0]), np.array([1.0]), -1e-13)
+    for residual in (-1e-13, "0.5", True, math.nan, None):
+        with pytest.raises(InvalidInputError, match="residual"):
+            DiscreteMeasure(np.array([0.5]), np.array([0.5]), residual)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +260,11 @@ def test_functional_errors():
         apply_functional(MEAN, [1.0, 2.0], [0.0, 0.0])  # all-zero weights
     with pytest.raises(InvalidInputError):
         apply_functional(MEAN, [1.0, 2.0], [-1.0, 2.0])
+    with pytest.raises(InvalidInputError, match="weights must hold real numbers"):
+        apply_functional(MEAN, [1.0, 2.0], [True, False])
+    with pytest.raises(InvalidInputError, match="sample must hold real numbers"):
+        apply_functional(MEAN, ["1", "2"])
+    assert apply_functional(MEAN, [1, 2], [1, 3]) == 1.75
 
 
 def test_quantile_is_left_continuous_inverse():

@@ -8,7 +8,7 @@ from dpboot import (
     Dataset,
     DiscreteMeasure,
     DPParams,
-    EmpiricalBase,
+    EmpiricalCDF,
     InvalidInputError,
     NormalBase,
     RngStream,
@@ -24,6 +24,7 @@ from dpboot import (
     polya_urn_predictive,
     stick_break,
 )
+from dpboot import dp as dp_module
 from dpboot.core import BaseMeasure, MixtureBase
 
 
@@ -48,8 +49,8 @@ def test_conjugate_update_basic():
     assert abs(w0 - 0.4) <= 1e-15
     assert abs(w1 - 0.6) <= 1e-15
     assert isinstance(m0, NormalBase)
-    assert isinstance(m1, EmpiricalBase)
-    assert list(m1.ecdf.values) == [1.0, 2.0, 3.0]
+    assert isinstance(m1, EmpiricalCDF)
+    assert list(m1.values) == [1.0, 2.0, 3.0]
 
 
 def test_conjugate_update_single_point():
@@ -57,7 +58,7 @@ def test_conjugate_update_single_point():
     assert post.alpha == 2.0
     (w0, _), (w1, m1) = post.base.components
     assert w0 == 0.5 and w1 == 0.5
-    assert list(m1.ecdf.values) == [5.0]
+    assert list(m1.values) == [5.0]
 
 
 def test_conjugate_update_large_alpha_favors_prior():
@@ -79,11 +80,11 @@ def test_conjugate_update_alpha_grows_by_n_exactly():
 def test_conjugate_update_collapses_pooled_empirical_prior():
     # Prior and data put equal mass (1/4) on each observation, so they
     # pool into one empirical base of weight 1 rather than a mixture.
-    prior = DPParams(2.0, EmpiricalBase(ecdf_build(Dataset([1.0, 2.0]))))
+    prior = DPParams(2.0, ecdf_build(Dataset([1.0, 2.0])))
     post = conjugate_update(prior, Dataset([3.0, 4.0]))
     assert post.alpha == 4.0
-    assert isinstance(post.base, EmpiricalBase)
-    assert list(post.base.ecdf.support) == [1.0, 2.0, 3.0, 4.0]
+    assert isinstance(post.base, EmpiricalCDF)
+    assert list(post.base.support) == [1.0, 2.0, 3.0, 4.0]
 
 
 def test_conjugate_update_is_batch_associative():
@@ -100,8 +101,8 @@ def test_conjugate_update_is_batch_associative():
     bw = [w for w, _ in batch.base.components]
     assert len(cw) == len(bw) == 2
     assert all(abs(x - y) <= 1e-12 for x, y in zip(cw, bw))
-    ce = chained.base.components[1][1].ecdf
-    be = batch.base.components[1][1].ecdf
+    ce = chained.base.components[1][1]
+    be = batch.base.components[1][1]
     assert np.array_equal(ce.values, be.values)
     assert np.array_equal(ce.counts, be.counts)
     assert ce.n == be.n == 5
@@ -114,12 +115,12 @@ def test_conjugate_update_is_batch_associative():
 def test_dp0_posterior_shape():
     post = dp0_posterior(Dataset([3.0, 1.0, 4.0, 1.0]))
     assert post.alpha == 4.0
-    assert isinstance(post.base, EmpiricalBase)
-    assert list(post.base.ecdf.values) == [1.0, 3.0, 4.0]
+    assert isinstance(post.base, EmpiricalCDF)
+    assert list(post.base.values) == [1.0, 3.0, 4.0]
 
     single = dp0_posterior(Dataset([7.0]))
     assert single.alpha == 1.0
-    assert list(single.base.ecdf.values) == [7.0]
+    assert list(single.base.values) == [7.0]
 
 
 @pytest.mark.parametrize("alpha", [1e-6, 1e-9])
@@ -163,6 +164,15 @@ def test_stick_break_validation():
         stick_break(dp, 1.0, RngStream(0, 0))
     with pytest.raises(InvalidInputError, match="cannot sample from BaseMeasure"):
         stick_break(DPParams(1.0, BaseMeasure()), 0.5, RngStream(0, 0))
+
+
+def test_stick_break_reports_non_convergence(monkeypatch):
+    # At alpha 1000 a remainder of 1e-300 takes about 690,000 sticks;
+    # a cap of three blocks (about 83,000 sticks) gives out first.
+    monkeypatch.setattr(dp_module, "_STICK_TOTAL_CAP", 3 * math.ceil(1000 * math.log(1e12)))
+    dp = DPParams(1000.0, UniformBase(0.0, 1.0))
+    with pytest.raises(InvalidInputError, match="did not converge"):
+        stick_break(dp, 1e-300, RngStream(0, 0))
 
 
 def test_stick_break_mass_accounting():
@@ -313,3 +323,7 @@ def test_atom_masses_rejects_unknown_atoms():
         atom_masses(m, [1.0, 2.0])
     with pytest.raises(InvalidInputError):
         atom_masses(m, [2.5, 1.0])  # not increasing
+    for grid in (["1.0", "2.5"], [[1.0, 2.5]], [], [1.0, math.nan]):
+        with pytest.raises(InvalidInputError, match="query values"):
+            atom_masses(m, grid)
+    assert list(atom_masses(DiscreteMeasure([1.0], [1.0], 0.0), [0, 1])) == [0.0, 1.0]

@@ -90,6 +90,13 @@ def test_ks_rejects_empty():
         ks_two_sample([1.0], [])
 
 
+def test_ks_rejects_strings_and_bools():
+    for a, b in ((["1"], ["2"]), ([True], [1.0]), ([1.0], [False, True])):
+        with pytest.raises(InvalidInputError, match="must hold real numbers"):
+            ks_two_sample(a, b)
+    assert ks_two_sample([1, 2], [2, 3]) == 0.5
+
+
 # ---------------------------------------------------------------------------
 # Wasserstein-1
 

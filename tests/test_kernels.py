@@ -16,7 +16,6 @@ from dpboot import (  # noqa: E402
     STDDEV,
     Dataset,
     DPParams,
-    EmpiricalBase,
     Method,
     NormalBase,
     RngStream,
@@ -75,7 +74,7 @@ def test_urn_draws_match_the_sequential_urn(count, alpha, base, values, seed):
     data = Dataset(values)
     prior = DPParams(alpha, NormalBase(0.5, 2.0))
     measure = {
-        "empirical": EmpiricalBase(ecdf_build(data)),
+        "empirical": ecdf_build(data),
         "normal": prior.base,
         "mixture": conjugate_update(prior, data).base,
     }[base]

@@ -13,7 +13,6 @@ from hypothesis import strategies as st  # noqa: E402
 from dpboot import (  # noqa: E402
     Dataset,
     DPParams,
-    EmpiricalBase,
     MixtureBase,
     NormalBase,
     conjugate_update,
@@ -66,7 +65,7 @@ def test_conjugate_update_batches_agree_with_one_update(values, cuts, alpha, pil
         prior = DPParams(alpha, normal)
     else:
         w, points = pilot
-        emp = EmpiricalBase(ecdf_build(Dataset(points)))
+        emp = ecdf_build(Dataset(points))
         prior = DPParams(alpha, MixtureBase(((w, normal), (1.0 - w, emp))))
 
     chained = prior
@@ -86,9 +85,9 @@ def test_conjugate_update_batches_agree_with_one_update(values, cuts, alpha, pil
     for components in (chained.base.components, once.base.components):
         assert len(components) == len(expected) + 1
         assert all(m is e for (_, m), e in zip(components, expected))
-        assert components[-1][1].ecdf.n == n_data
+        assert components[-1][1].n == n_data
     for (cw, _), (ow, _) in zip(chained.base.components, once.base.components):
         assert abs(cw - ow) <= 1e-12
     (_, c_emp), (_, o_emp) = chained.base.components[-1], once.base.components[-1]
-    assert np.array_equal(c_emp.ecdf.values, o_emp.ecdf.values)
-    assert np.array_equal(c_emp.ecdf.counts, o_emp.ecdf.counts)
+    assert np.array_equal(c_emp.values, o_emp.values)
+    assert np.array_equal(c_emp.counts, o_emp.counts)

@@ -204,14 +204,17 @@ def test_make_ensemble_accepts_numpy_integer_counts():
 
 def test_ensemble_validation():
     with pytest.raises(InvalidInputError):
-        Ensemble(Method.FREQUENTIST, MEAN, np.array([1.0, 2.0]), 0, 2, 3)
+        Ensemble(Method.FREQUENTIST, MEAN, np.array([np.inf]), 0, 1)
     with pytest.raises(InvalidInputError):
-        Ensemble(Method.FREQUENTIST, MEAN, np.array([np.inf]), 0, 1, 1)
-    with pytest.raises(InvalidInputError):
-        Ensemble(Method.FREQUENTIST, MEAN, np.ones((2, 1)), 0, 2, 2)
+        Ensemble(Method.FREQUENTIST, MEAN, np.ones((2, 1)), 0, 2)
     for master_seed, n in ((-5, 2), (2**70, 2), (0, -1), (0, 0), (0, 2.5)):
         with pytest.raises(InvalidInputError):
-            Ensemble(Method.FREQUENTIST, MEAN, np.ones(2), master_seed, n, 2)
+            Ensemble(Method.FREQUENTIST, MEAN, np.ones(2), master_seed, n)
+    # b is the number of values, never passed.
+    ens = Ensemble(Method.FREQUENTIST, MEAN, [1, 2, 3], 0, 2)
+    assert ens.b == 3 and type(ens.b) is int
+    with pytest.raises(TypeError):
+        Ensemble(Method.FREQUENTIST, MEAN, np.ones(2), 0, 2, 2)
 
 
 def test_method_labels_round_trip():
