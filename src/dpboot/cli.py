@@ -15,6 +15,7 @@ failing status.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -91,7 +92,7 @@ def _cmd_resample(args) -> int:
     kernel = _kernel(Method(args.method), _read_dataset(args.input), args.epsilon)
     points, weights = kernel(RngStream(args.seed, 0).generator())
     out = points if weights is None else weights
-    _write_text(args.output, "".join(f"{float(v):.17g}\n" for v in out))
+    _write_text(args.output, "".join(map("{:.17g}\n".format, out.tolist())))
     return 0
 
 
@@ -252,8 +253,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser.  Parsing leaves no state in it, and the
+    handlers read stdin and module globals only when they are called."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (InvalidInputError, OSError) as exc:

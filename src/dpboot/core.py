@@ -31,7 +31,10 @@ class InvalidInputError(ValueError):
 
 def _as_finite_array(values, what: str) -> np.ndarray:
     """`values` as a nonempty one-dimensional array of finite floats; no bools or strings."""
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting, such as [1.0, [2.0]]
+        raise InvalidInputError(f"{what} must be one-dimensional") from None
     if arr.dtype.kind not in "iuf":
         raise InvalidInputError(f"{what} must hold real numbers")
     if arr.ndim != 1:
@@ -142,9 +145,10 @@ def _open_uniforms(size: int, gen) -> np.ndarray:
     u = np.array(gen.random(size), dtype=np.float64, copy=True)
     while True:
         zeros = u == 0.0
-        if not zeros.any():
+        count = np.count_nonzero(zeros)  # faster than .any() on small arrays
+        if not count:
             return u
-        u[zeros] = gen.random(int(zeros.sum()))
+        u[zeros] = gen.random(count)
 
 
 # ---------------------------------------------------------------------------
@@ -401,32 +405,33 @@ def apply_functional(functional: Functional, values, weights=None) -> float:
     forms agree under uniform weights.
     """
     y = _as_finite_array(values, "sample")
-    if weights is None:  # uniform weights: one arithmetic path for both
-        w, total = np.ones(y.size), float(y.size)
+    if weights is None:  # unit weights, skipped: multiplying by 1.0 is exact
+        w, total = None, float(y.size)
     else:
         w = _as_finite_array(weights, "weights")
         if w.size != y.size:
             raise InvalidInputError("weights must match the sample length")
-        if (w < 0).any():
+        if np.count_nonzero(w < 0) > 0:  # faster than .any() on small arrays
             raise InvalidInputError("weights must be nonnegative")
         total = float(w.sum())
         if total <= 0:
             raise InvalidInputError("weights must not all be zero")
 
-    # Means and deviations are accumulated around y[0], which makes
-    # them exact on constant data.
-    anchor = float(y[0])
-    centered = y - anchor
-
     kind = functional.kind
-    if kind == "mean":
-        return anchor + float((w * centered).sum() / total)
-    if kind == "sd":
-        dev = centered - (w * centered).sum() / total
-        return float(math.sqrt(((dev * dev) * w).sum() / total))
+    if kind == "mean" or kind == "sd":
+        # Means and deviations are accumulated around y[0], which makes
+        # them exact on constant data.
+        anchor = float(y[0])
+        centered = y - anchor
+        mean = (centered if w is None else w * centered).sum() / total
+        if kind == "mean":
+            return anchor + float(mean)
+        dev = centered - mean
+        square = dev * dev if w is None else dev * dev * w
+        return float(math.sqrt(square.sum() / total))
 
     p = 0.5 if kind == "median" else functional.p
     order = np.argsort(y, kind="stable")
-    cum = np.cumsum(w[order]) / total
+    cum = (np.arange(1, y.size + 1) if w is None else np.cumsum(w[order])) / total
     idx = int(np.searchsorted(cum, p, side="left"))
     return float(y[order[min(idx, y.size - 1)]])

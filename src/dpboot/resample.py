@@ -164,8 +164,8 @@ class Ensemble:
     n: int
 
     def __post_init__(self):
-        _check_count(self.n, "n")
-        _check_seed(self.master_seed, "master_seed")
+        object.__setattr__(self, "n", _check_count(self.n, "n"))
+        object.__setattr__(self, "master_seed", _check_seed(self.master_seed, "master_seed"))
         values = _freeze(_as_finite_array(self.values, "ensemble values"))
         object.__setattr__(self, "values", values)
 
@@ -198,4 +198,4 @@ def make_ensemble(
         return apply_functional(functional, *kernel(RngStream(master_seed, i).generator()))
 
     values = np.fromiter(map(replicate, range(b)), dtype=np.float64, count=b)
-    return Ensemble(method, functional, values, int(master_seed), len(data))
+    return Ensemble(method, functional, values, master_seed, len(data))

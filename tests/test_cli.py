@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from dpboot import Dataset, RngStream, atom_masses, dp0_posterior, ecdf_build, stick_break
-from dpboot.cli import main
+from dpboot import cli
+from dpboot.cli import build_parser, main
 
 
 @pytest.fixture
@@ -369,6 +370,54 @@ def test_experiment_rejects_non_finite_threshold(capsys, threshold):
         "--threshold", threshold,
     ]) == 2
     assert "threshold" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# One parser per process
+
+
+def test_parser_is_built_once_per_process(monkeypatch, sample_file, capsys):
+    builds = []
+
+    def counting():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        for seed in ("1", "2", "3"):
+            argv = ["resample", "--input", sample_file, "--method", "bayesian", "--seed", seed]
+            assert main(argv) == 0
+    finally:
+        cli._parser.cache_clear()  # drop the parser built under the patch
+    assert len(builds) == 1
+    assert len(capsys.readouterr().out.splitlines()) == 3 * 25
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, sample_file, capsys):
+    argv = ["resample", "--input", sample_file, "--method", "dp-stickbreak-points", "--seed", "11"]
+    assert main(argv) == 0
+    first = capsys.readouterr()
+
+    with pytest.raises(SystemExit) as exc:
+        main(["resample", "--input", sample_file, "--method", "jackknife"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+    missing = str(tmp_path / "nope.txt")
+    assert main(["resample", "--input", missing, "--method", "bayesian"]) == 2
+    assert capsys.readouterr().err.startswith("dpboot: cannot read")
+
+    assert main(argv) == 0
+    again = capsys.readouterr()
+    assert (again.out, again.err) == (first.out, "")
+    done = _run_module(argv)
+    assert done.returncode == 0 and done.stdout == first.out.encode()
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from dpboot import (
     derive_seed,
     ecdf_build,
     ecdf_eval,
+    ks_two_sample,
     parse_functional,
     quantile,
 )
@@ -48,6 +49,15 @@ def test_dataset_rejects_empty_and_nonfinite():
         with pytest.raises(InvalidInputError, match="real numbers"):
             Dataset(values)
     assert Dataset([1, 2]).values.dtype == np.float64  # integers are real numbers
+
+
+def test_ragged_input_is_invalid_input():
+    # numpy refuses ragged nesting with a bare ValueError; the sample rule
+    # reports it as what it is.
+    with pytest.raises(InvalidInputError, match="one-dimensional"):
+        Dataset([[1.0], [1.0, 2.0]])
+    with pytest.raises(InvalidInputError, match="first sample must be one-dimensional"):
+        ks_two_sample([1.0, [2.0]], [1.0])
 
 
 def test_dataset_values_are_immutable():

@@ -217,6 +217,12 @@ def test_ensemble_validation():
         Ensemble(Method.FREQUENTIST, MEAN, np.ones(2), 0, 2, 2)
 
 
+def test_ensemble_stores_plain_ints():
+    ens = Ensemble(Method.FREQUENTIST, MEAN, np.ones(2), np.uint64(3), np.int64(2))
+    assert ens.master_seed == 3 and type(ens.master_seed) is int
+    assert ens.n == 2 and type(ens.n) is int
+
+
 def test_method_labels_round_trip():
     for method in ALL_METHODS:
         assert Method(method.value) is method
