@@ -89,7 +89,7 @@ def _parse_base(text: str):
 
 
 def _cmd_resample(args) -> int:
-    kernel = _kernel(Method(args.method), _read_dataset(args.input), args.epsilon)
+    kernel = _kernel(Method(args.method), _read_dataset(args.input))
     points, weights = kernel(RngStream(args.seed, 0).generator())
     out = points if weights is None else weights
     _write_text(args.output, "".join(map("{:.17g}\n".format, out.tolist())))
@@ -136,7 +136,6 @@ def _cmd_compare(args) -> int:
         data,
         b=args.b,
         functional=functional,
-        epsilon=args.epsilon,
         master_seed=args.seed,
         threshold_factor=args.threshold,
         reps=args.reps,
@@ -168,7 +167,6 @@ def _cmd_experiment(args) -> int:
         _parse_base(args.generator),
         b=args.b,
         functional=parse_functional(args.functional),
-        epsilon=args.epsilon,
         master_seed=args.seed,
         threshold_factor=args.threshold,
         reps=args.reps,
@@ -205,7 +203,6 @@ def _add_comparison_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--threshold", type=float, default=2.0,
                         help="verdict factor over the self-distance median")
     parser.add_argument("--reps", type=int, default=5, help="self-calibration pair count")
-    parser.add_argument("--epsilon", type=float, default=1e-10)
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     # Ignored; parsed only so that scripts passing it still run.
     parser.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
@@ -224,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     resample.add_argument("--input", required=True)
     resample.add_argument("--method", required=True, choices=methods)
     resample.add_argument("--seed", type=int, default=0)
-    resample.add_argument("--epsilon", type=float, default=1e-10)
     resample.add_argument("--output", default="-")
     resample.set_defaults(handler=_cmd_resample)
 

@@ -142,13 +142,20 @@ def _uniform_indices(n: int, size: int, gen) -> np.ndarray:
 
 def _open_uniforms(size: int, gen) -> np.ndarray:
     """Uniforms in the open interval (0, 1): exact zeros are redrawn."""
-    u = np.array(gen.random(size), dtype=np.float64, copy=True)
+    u = gen.random(size)
     while True:
         zeros = u == 0.0
         count = np.count_nonzero(zeros)  # faster than .any() on small arrays
         if not count:
             return u
         u[zeros] = gen.random(count)
+
+
+def _measure_draws(weights, count: int, gen) -> np.ndarray:
+    """`count` categorical indices, index j with probability weights[j] / sum(weights)."""
+    cum = np.cumsum(weights)
+    cum /= cum[-1]
+    return np.searchsorted(cum, gen.random(count), side="right")
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +282,7 @@ def _sample_base(base: BaseMeasure, size: int, gen) -> np.ndarray:
         dist = statistics.NormalDist(base.mean, base.sd)
         return np.array([dist.inv_cdf(u) for u in _open_uniforms(size, gen)])
     if isinstance(base, MixtureBase):
-        cut = np.cumsum([w for w, _ in base.components])
-        cut /= cut[-1]
-        which = np.searchsorted(cut, gen.random(size), side="right")
+        which = _measure_draws([w for w, _ in base.components], size, gen)
         out = np.empty(size, dtype=np.float64)
         for j, (_, measure) in enumerate(base.components):
             slots = np.flatnonzero(which == j)
@@ -318,8 +323,9 @@ class DPParams:
 class DiscreteMeasure:
     """Finite atomic measure left by a truncated stick-breaking run.
 
-    `residual` is the mass beyond the kept atoms; consumers renormalize
-    the weights by 1/(1 - residual) when drawing from the measure.
+    `residual` is the mass beyond the kept atoms.  Consumers drop it:
+    `measure_sample` and `atom_masses` divide the weights by their sum,
+    which equals 1 - residual up to rounding.
     """
 
     atoms: np.ndarray

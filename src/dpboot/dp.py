@@ -26,6 +26,7 @@ from .core import (
     _as_finite_array,
     _check_count,
     _check_open_unit,
+    _measure_draws,
     _sample_base,
     ecdf_build,
 )
@@ -35,11 +36,14 @@ _EMPIRICAL_MERGE_RTOL = 1e-12
 
 # Sticks generated per block: enough to reach residual 1e-12 in one
 # block on average.  Block size depends only on alpha, never on the
-# truncation tolerance, so tightening epsilon on the same stream
+# truncation tolerance, so tightening the tolerance on the same stream
 # extends a run without disturbing the kept prefix.
 _STICK_BLOCK_LOG = math.log(1e12)
 _STICK_BLOCK_CAP = 1 << 20
 _STICK_TOTAL_CAP = 100_000_000
+# Truncation of every scheme's realized measure: far below the Monte
+# Carlo error of any ensemble, so no caller has needed another value.
+_EPSILON = 1e-10
 
 
 def conjugate_update(prior: DPParams, data: Dataset) -> DPParams:
@@ -134,12 +138,6 @@ def measure_sample(measure: DiscreteMeasure, count: int, rng: RngStream) -> Data
     """`count` IID draws from a truncated measure, residual renormalized away."""
     count = _check_count(count, "count")
     return Dataset(measure.atoms[_measure_draws(measure.weights, count, rng.generator())])
-
-
-def _measure_draws(weights: np.ndarray, count: int, gen) -> np.ndarray:
-    cum = np.cumsum(weights)
-    cum /= cum[-1]
-    return np.searchsorted(cum, gen.random(count), side="right")
 
 
 def polya_urn_predictive(dp: DPParams, count: int, rng: RngStream) -> Dataset:

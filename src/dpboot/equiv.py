@@ -187,7 +187,6 @@ def self_calibrate(
     data: Dataset,
     b: int,
     functional: Functional,
-    epsilon: float = 1e-10,
     master_seed: int = 0,
     reps: int = 5,
 ) -> tuple:
@@ -198,7 +197,7 @@ def self_calibrate(
     """
     reps = _check_count(reps, "reps", 3)
     ensembles = [
-        make_ensemble(method, data, b, functional, epsilon, derive_seed(master_seed, i))
+        make_ensemble(method, data, b, functional, derive_seed(master_seed, i))
         for i in range(reps + 1)
     ]
     return tuple(
@@ -213,7 +212,6 @@ def compare(
     data: Dataset,
     b: int = 2000,
     functional: Functional = MEAN,
-    epsilon: float = 1e-10,
     master_seed: int = 0,
     threshold_factor: float = 2.0,
     reps: int = 5,
@@ -231,16 +229,12 @@ def compare(
     # Both schemes are checked and the baseline is built first, so a bad
     # scheme or `reps` fails before any ensemble is built.
     for method in (method_a, method_b):
-        _kernel(method, data, epsilon)
+        _kernel(method, data)
     baseline = self_calibrate(
-        method_a, data, b, functional, epsilon, derive_seed(master_seed, _SALT_SELF), reps
+        method_a, data, b, functional, derive_seed(master_seed, _SALT_SELF), reps
     )
-    ens_a = make_ensemble(
-        method_a, data, b, functional, epsilon, derive_seed(master_seed, _SALT_CROSS_A)
-    )
-    ens_b = make_ensemble(
-        method_b, data, b, functional, epsilon, derive_seed(master_seed, _SALT_CROSS_B)
-    )
+    ens_a = make_ensemble(method_a, data, b, functional, derive_seed(master_seed, _SALT_CROSS_A))
+    ens_b = make_ensemble(method_b, data, b, functional, derive_seed(master_seed, _SALT_CROSS_B))
     cross = _distance(ens_a.values, ens_b.values)
     return EquivalenceReport(
         cross, baseline, threshold_factor, equivalence_verdict(cross, baseline, threshold_factor)
@@ -262,7 +256,6 @@ def convergence_experiment(
     generator: BaseMeasure,
     b: int = 2000,
     functional: Functional = MEAN,
-    epsilon: float = 1e-10,
     master_seed: int = 0,
     threshold_factor: float = 2.0,
     reps: int = 5,
@@ -292,7 +285,6 @@ def convergence_experiment(
             data,
             b,
             functional,
-            epsilon,
             derive_seed(row_seed, 1),
             threshold_factor,
             reps,

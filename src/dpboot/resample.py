@@ -20,14 +20,14 @@ from .core import (
     RngStream,
     _as_finite_array,
     _check_count,
-    _check_open_unit,
     _check_seed,
     _freeze,
+    _measure_draws,
     _open_uniforms,
     _uniform_indices,
     apply_functional,
 )
-from .dp import _measure_draws, _stick_break, _urn_draws, dp0_posterior
+from .dp import _EPSILON, _stick_break, _urn_draws, dp0_posterior
 
 
 class Method(Enum):
@@ -43,7 +43,10 @@ class Method(Enum):
                            posterior, its masses aggregated per observed
                            point (ties split equally), functional taken
                            weighted by them: the posterior law of the
-                           functional up to the truncation tolerance.
+                           functional up to truncation.  Every scheme,
+                           ensemble and command truncates at leftover
+                           mass 1e-10; only `dp.stick_break` takes a
+                           tolerance.
     DP_STICK_BREAK_POINTS  n IID points drawn from one realized
                            measure, functional taken unweighted.  Same
                            joint law as the urn scheme.  Point noise
@@ -61,15 +64,15 @@ class Method(Enum):
     POLYA_URN = "polya-urn"
 
 
-# Kernel builders: (data, DP(n, ecdf) posterior, epsilon) -> kernel, where
+# Kernel builders: (data, DP(n, ecdf) posterior) -> kernel, where
 # kernel(gen) returns one replication as (points, weights or None).
 
 
-def _frequentist(data, posterior, epsilon):
+def _frequentist(data, posterior):
     return lambda gen: (data.values[_uniform_indices(len(data), len(data), gen)], None)
 
 
-def _dirichlet(data, posterior, epsilon):
+def _dirichlet(data, posterior):
     def kernel(gen):
         e = -np.log(_open_uniforms(len(data), gen))
         return data.values, e / e.sum()
@@ -77,39 +80,39 @@ def _dirichlet(data, posterior, epsilon):
     return kernel
 
 
-def _support_sticks(posterior, epsilon, gen) -> tuple:
+def _support_sticks(posterior, gen) -> tuple:
     # Every atom of DP(n, ecdf) is an observation: the atoms are drawn
     # as indices into the sorted support, from the uniforms that
     # _sample_base would turn into the values themselves.
     draw = functools.partial(_uniform_indices, posterior.base.n)
-    return _stick_break(posterior.alpha, epsilon, gen, draw)
+    return _stick_break(posterior.alpha, _EPSILON, gen, draw)
 
 
-def _stick_masses(data, posterior, epsilon):
+def _stick_masses(data, posterior):
     ecdf = posterior.base
     distinct = np.repeat(np.arange(ecdf.values.size), ecdf.counts)  # support slot -> value
     line = np.searchsorted(ecdf.values, data.values)
     line_counts = ecdf.counts[line]
 
     def kernel(gen):
-        idx, weights, _ = _support_sticks(posterior, epsilon, gen)
+        idx, weights, _ = _support_sticks(posterior, gen)
         masses = np.bincount(distinct[idx], weights, ecdf.values.size) / weights.sum()
         return data.values, masses[line] / line_counts
 
     return kernel
 
 
-def _stick_points(data, posterior, epsilon):
+def _stick_points(data, posterior):
     support = posterior.base.support
 
     def kernel(gen):
-        idx, weights, _ = _support_sticks(posterior, epsilon, gen)
+        idx, weights, _ = _support_sticks(posterior, gen)
         return support[idx[_measure_draws(weights, len(data), gen)]], None
 
     return kernel
 
 
-def _urn(data, posterior, epsilon):
+def _urn(data, posterior):
     return lambda gen: (_urn_draws(posterior, len(data), gen), None)
 
 
@@ -122,14 +125,13 @@ _KERNELS = {
 }
 
 
-def _kernel(method: Method, data: Dataset, epsilon: float = 1e-10):
+def _kernel(method: Method, data: Dataset):
     """Kernel gen -> (points, weights or None) of one scheme on one dataset."""
     if not isinstance(method, Method):
         raise InvalidInputError("method must be a Method")
     if not isinstance(data, Dataset):
         raise InvalidInputError("data must be a Dataset")
-    _check_open_unit(epsilon, "epsilon")
-    return _KERNELS[method](data, dp0_posterior(data), epsilon)
+    return _KERNELS[method](data, dp0_posterior(data))
 
 
 def frequentist_bootstrap(data: Dataset, rng: RngStream) -> Dataset:
@@ -148,9 +150,9 @@ def bayesian_bootstrap_weights(n: int, rng: RngStream) -> np.ndarray:
     return _kernel(Method.BAYESIAN_DIRICHLET, data)(rng.generator())[1]
 
 
-def dp_bootstrap_sample(data: Dataset, epsilon: float, rng: RngStream) -> Dataset:
+def dp_bootstrap_sample(data: Dataset, rng: RngStream) -> Dataset:
     """n IID points from a fresh stick-breaking realization of DP(n, ecdf)."""
-    return Dataset(_kernel(Method.DP_STICK_BREAK_POINTS, data, epsilon)(rng.generator())[0])
+    return Dataset(_kernel(Method.DP_STICK_BREAK_POINTS, data)(rng.generator())[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,7 +182,6 @@ def make_ensemble(
     data: Dataset,
     b: int,
     functional: Functional,
-    epsilon: float = 1e-10,
     master_seed: int = 0,
 ) -> Ensemble:
     """Generate the B replicated functional values of one scheme.
@@ -192,7 +193,7 @@ def make_ensemble(
     if not isinstance(functional, Functional):
         raise InvalidInputError("functional must be a Functional")
     b = _check_count(b, "b")
-    kernel = _kernel(method, data, epsilon)
+    kernel = _kernel(method, data)
 
     def replicate(i: int) -> float:
         return apply_functional(functional, *kernel(RngStream(master_seed, i).generator()))

@@ -119,7 +119,6 @@ def _verdict_trials(method_a: Method, method_b: Method, seeds: int = 100) -> int
             data,
             b=2000,
             functional=MEAN,
-            epsilon=1e-10,
             master_seed=derive_seed(s, 202),
             threshold_factor=2.0,
             reps=5,

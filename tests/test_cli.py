@@ -73,21 +73,27 @@ def test_resample_stick_weights_split_atom_masses_over_tied_lines(tmp_path, caps
     path = tmp_path / "tied.txt"
     path.write_text("".join(f"{v!r}\n" for v in values))
     argv = ["resample", "--input", str(path), "--method", "dp-stickbreak", "--seed", str(seed)]
-    assert main(argv + ["--epsilon", "1e-8"]) == 0
+    assert main(argv) == 0
     data = Dataset(values)
     ecdf = ecdf_build(data)
-    measure = stick_break(dp0_posterior(data), 1e-8, RngStream(seed, 0))
+    measure = stick_break(dp0_posterior(data), 1e-10, RngStream(seed, 0))
     line = np.searchsorted(ecdf.values, data.values)
     expected = atom_masses(measure, ecdf.values)[line] / ecdf.counts[line]
     assert capsys.readouterr().out == "".join(f"{v:.17g}\n" for v in expected)
 
 
-def test_resample_rejects_bad_epsilon_for_every_method(sample_file, capsys):
-    for method in ("frequentist", "bayesian", "dp-stickbreak", "dp-stickbreak-points", "polya-urn"):
-        for epsilon in ("5", "0", "nan"):
-            argv = ["resample", "--input", sample_file, "--method", method, "--epsilon", epsilon]
-            assert main(argv) == 2
-            assert "epsilon" in capsys.readouterr().err
+def test_epsilon_flag_is_a_usage_error(sample_file, capsys):
+    # Every command truncates at 1e-10; no command takes a tolerance.
+    for command in (
+        ["resample", "--input", sample_file, "--method", "dp-stickbreak"],
+        ["compare", "--input", sample_file, "--method-a", "frequentist",
+         "--method-b", "dp-stickbreak", "--b", "50"],
+        ["experiment", "--n-grid", "10", "--generator", "uniform:0,1", "--b", "50"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--epsilon", "1e-10"])
+        assert exc.value.code == 2
+        assert "--epsilon" in capsys.readouterr().err
 
 
 def test_resample_points_stay_in_support(tmp_path, sample_file, capsys):

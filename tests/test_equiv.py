@@ -259,6 +259,8 @@ def test_self_calibrate_validation():
             self_calibrate(Method.FREQUENTIST, data, 10, MEAN, master_seed=seed)
     with pytest.raises(TypeError):
         self_calibrate(Method.FREQUENTIST, data, 10, MEAN, workers=1)
+    with pytest.raises(TypeError):
+        self_calibrate(Method.DP_STICK_BREAK, data, 10, MEAN, epsilon=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +327,8 @@ def test_compare_validation():
     for seed in (-1, 2**64 + 5):
         with pytest.raises(InvalidInputError):
             compare(Method.FREQUENTIST, Method.FREQUENTIST, data, b=50, master_seed=seed)
+    with pytest.raises(TypeError):
+        compare(Method.FREQUENTIST, Method.DP_STICK_BREAK, data, b=50, epsilon=1e-10)
 
 
 def test_compare_rejects_reps_before_building_ensembles(monkeypatch):
@@ -398,6 +402,8 @@ def test_convergence_validation():
             convergence_experiment([10], UniformBase(0, 1), b=100, master_seed=seed)
     with pytest.raises(TypeError):
         convergence_experiment([10], UniformBase(0, 1), b=100, workers=1)
+    with pytest.raises(TypeError):
+        convergence_experiment([10], UniformBase(0, 1), b=100, epsilon=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -114,21 +114,23 @@ def test_weighted_mean_law_is_permutation_invariant():
 
 
 def test_dp_bootstrap_single_point():
-    out = dp_bootstrap_sample(Dataset([7.0]), 1e-10, RngStream(0, 0))
+    out = dp_bootstrap_sample(Dataset([7.0]), RngStream(0, 0))
     assert list(out.values) == [7.0]
 
 
 def test_dp_bootstrap_support_and_length():
     data = Dataset([1.0, 3.0, 3.0, 8.0])
     for i in range(30):
-        out = dp_bootstrap_sample(data, 1e-10, RngStream(9, i))
+        out = dp_bootstrap_sample(data, RngStream(9, i))
         assert len(out) == len(data)
         assert set(out.values) <= set(data.values)
 
 
 def test_dp_bootstrap_validation():
-    with pytest.raises(InvalidInputError):
-        dp_bootstrap_sample(Dataset([1.0]), 0.0, RngStream(0, 0))
+    with pytest.raises(InvalidInputError, match="Dataset"):
+        dp_bootstrap_sample([1.0, 2.0], RngStream(0, 0))
+    with pytest.raises(TypeError):
+        dp_bootstrap_sample(Dataset([1.0]), 1e-10, RngStream(0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +180,8 @@ def test_make_ensemble_validation():
         make_ensemble("frequentist", data, 5, MEAN)
     with pytest.raises(InvalidInputError):
         make_ensemble(Method.FREQUENTIST, data, 5, "mean")
-    with pytest.raises(InvalidInputError):
-        make_ensemble(Method.DP_STICK_BREAK, data, 5, MEAN, epsilon=2.0)
+    with pytest.raises(TypeError):
+        make_ensemble(Method.DP_STICK_BREAK, data, 5, MEAN, epsilon=1e-10)
     with pytest.raises(TypeError):
         make_ensemble(Method.FREQUENTIST, data, 5, MEAN, workers=1)
     with pytest.raises(InvalidInputError, match="Dataset"):
