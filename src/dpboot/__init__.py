@@ -31,7 +31,6 @@ from .dp import (
     stick_break,
 )
 from .equiv import (
-    ConvergenceRow,
     DistanceReport,
     EquivalenceReport,
     Verdict,
@@ -46,7 +45,6 @@ from .equiv import (
     wasserstein1,
 )
 from .resample import (
-    Ensemble,
     Method,
     bayesian_bootstrap_weights,
     dp_bootstrap_sample,

@@ -18,7 +18,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict
 
 from .core import (
     Dataset,
@@ -29,6 +28,7 @@ from .core import (
     NormalBase,
     RngStream,
     UniformBase,
+    _short_number,
     parse_functional,
 )
 from .dp import conjugate_update, dp0_posterior
@@ -97,15 +97,13 @@ def _cmd_resample(args) -> int:
 
 
 def _describe_base(base) -> list:
-    def num(x: float) -> str:  # short form unless it would lose digits
-        return f"{x:g}" if float(f"{x:g}") == x else repr(x)
-
     def label(measure) -> str:
         if isinstance(measure, EmpiricalCDF):
             return "empirical"
         if isinstance(measure, NormalBase):
-            return f"normal({num(measure.mean)},{num(measure.sd)})"
-        return f"uniform({num(measure.lo)},{num(measure.hi)})"  # the only other kind parsed
+            return f"normal({_short_number(measure.mean)},{_short_number(measure.sd)})"
+        # The only other kind parsed.
+        return f"uniform({_short_number(measure.lo)},{_short_number(measure.hi)})"
 
     components = base.components if isinstance(base, MixtureBase) else ((1.0, base),)
     return [{"weight": float(w), "component": label(m)} for w, m in components]
@@ -146,10 +144,7 @@ def _cmd_compare(args) -> int:
         "n": len(data),
         "b": args.b,
         "functional": functional.label(),
-        "cross_ks": float(report.cross.ks),
-        "cross_w1": float(report.cross.wasserstein1),
-        "self_ks_median": report.self_ks_median,
-        "self_w1_median": report.self_w1_median,
+        **_distance_cells(report),
         "threshold": float(args.threshold),
         "verdict": report.verdict.value,
     }
@@ -162,7 +157,7 @@ def _cmd_experiment(args) -> int:
         grid = [int(token) for token in args.n_grid.split(",")]
     except ValueError:
         raise InvalidInputError(f"bad n-grid: {args.n_grid!r}") from None
-    rows = convergence_experiment(
+    pairs = convergence_experiment(
         grid,
         _parse_base(args.generator),
         b=args.b,
@@ -171,8 +166,22 @@ def _cmd_experiment(args) -> int:
         threshold_factor=args.threshold,
         reps=args.reps,
     )
-    _write_table(args, [{**asdict(row), "verdict": row.verdict.value} for row in rows])
+    rows = [
+        {"n": n, **_distance_cells(report), "verdict": report.verdict.value}
+        for n, report in pairs
+    ]
+    _write_table(args, rows)
     return 0
+
+
+def _distance_cells(report) -> dict:
+    """The cross distances and the self-distance medians of one report."""
+    return {
+        "cross_ks": report.cross.ks,
+        "cross_w1": report.cross.wasserstein1,
+        "self_ks_median": report.self_ks_median,
+        "self_w1_median": report.self_w1_median,
+    }
 
 
 def _write_table(args, table):

@@ -78,6 +78,11 @@ def _check_open_unit(value, name: str) -> float:
     return value
 
 
+def _short_number(x: float) -> str:
+    """`x` in six significant digits where that is exact, else every digit."""
+    return f"{x:g}" if float(f"{x:g}") == x else repr(x)
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, copy=True)
     out.flags.writeable = False
@@ -262,9 +267,16 @@ class MixtureBase(BaseMeasure):
         for _, measure in comps:
             if isinstance(measure, MixtureBase):
                 raise InvalidInputError("a mixture may not contain a mixture")
-            if not isinstance(measure, BaseMeasure):
-                raise InvalidInputError("mixture components must be base measures")
+            _check_samplable(measure, "mixture components must be base measures")
         object.__setattr__(self, "components", comps)
+
+
+def _check_samplable(base, message: str):
+    """`base` must be a base measure that `_sample_base` can draw from."""
+    if not isinstance(base, BaseMeasure):
+        raise InvalidInputError(message)
+    if not isinstance(base, (EmpiricalCDF, UniformBase, NormalBase, MixtureBase)):
+        raise InvalidInputError(f"cannot sample from {type(base).__name__}")
 
 
 def _sample_base(base: BaseMeasure, size: int, gen) -> np.ndarray:
@@ -314,8 +326,7 @@ class DPParams:
 
     def __post_init__(self):
         alpha = _check_real(self.alpha, "alpha must be finite and positive", positive=True)
-        if not isinstance(self.base, BaseMeasure):
-            raise InvalidInputError("a base measure is required")
+        _check_samplable(self.base, "a base measure is required")
         object.__setattr__(self, "alpha", alpha)
 
 
@@ -376,7 +387,7 @@ class Functional:
             raise InvalidInputError(f"{self.kind} takes no level parameter")
 
     def label(self) -> str:
-        return f"q:{self.p:g}" if self.kind == "quantile" else self.kind
+        return f"q:{_short_number(self.p)}" if self.kind == "quantile" else self.kind
 
 
 MEAN = Functional("mean")

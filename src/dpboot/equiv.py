@@ -33,6 +33,7 @@ from .core import (
     _check_count,
     _check_open_unit,
     _check_real,
+    _check_samplable,
     _sample_base,
     derive_seed,
 )
@@ -156,7 +157,10 @@ def ks_critical(significance: float, n: int, m: Optional[int] = None) -> float:
     _check_open_unit(significance, "significance")
     n = _check_count(n, "n")
     m = None if m is None else _check_count(m, "m")
-    lo, hi = 0.05, 8.0
+    # The series' first term, 2 exp(-2 t^2), bounds kolmogorov_sf above,
+    # so the root is at most sqrt(log(2/significance)/2), which exceeds
+    # 8 only for significance below about 5e-56.
+    lo, hi = 0.05, max(8.0, math.sqrt((math.log(2.0) - math.log(significance)) / 2.0))
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if kolmogorov_sf(mid) > significance:
@@ -200,10 +204,7 @@ def self_calibrate(
         make_ensemble(method, data, b, functional, derive_seed(master_seed, i))
         for i in range(reps + 1)
     ]
-    return tuple(
-        _distance(first.values, second.values)
-        for first, second in zip(ensembles, ensembles[1:])
-    )
+    return tuple(_distance(first, second) for first, second in zip(ensembles, ensembles[1:]))
 
 
 def compare(
@@ -235,20 +236,10 @@ def compare(
     )
     ens_a = make_ensemble(method_a, data, b, functional, derive_seed(master_seed, _SALT_CROSS_A))
     ens_b = make_ensemble(method_b, data, b, functional, derive_seed(master_seed, _SALT_CROSS_B))
-    cross = _distance(ens_a.values, ens_b.values)
+    cross = _distance(ens_a, ens_b)
     return EquivalenceReport(
         cross, baseline, threshold_factor, equivalence_verdict(cross, baseline, threshold_factor)
     )
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    n: int
-    cross_ks: float
-    cross_w1: float
-    self_ks_median: float
-    self_w1_median: float
-    verdict: Verdict
 
 
 def convergence_experiment(
@@ -260,21 +251,21 @@ def convergence_experiment(
     threshold_factor: float = 2.0,
     reps: int = 5,
 ) -> list:
-    """Frequentist vs stick-breaking distances across sample sizes.
+    """Frequentist vs stick-breaking comparisons across sample sizes.
 
-    Each row draws a fresh dataset of size n from the generator (rows
-    are independent, never nested subsets) and runs the calibrated
-    comparison on it.  Rows come back in grid order.
+    Each grid entry draws a fresh dataset of size n from the generator
+    (datasets are independent, never nested subsets) and runs the
+    calibrated comparison on it.  Returns (n, EquivalenceReport) pairs
+    in grid order.
     """
     grid = [_check_count(n, "n_grid entries") for n in n_grid]
     if not grid:
         raise InvalidInputError("n_grid must be nonempty")
     if any(second <= first for first, second in zip(grid, grid[1:])):
         raise InvalidInputError("n_grid must be strictly increasing")
-    if not isinstance(generator, BaseMeasure):
-        raise InvalidInputError("generator must be a BaseMeasure")
+    _check_samplable(generator, "generator must be a BaseMeasure")
 
-    rows = []
+    pairs = []
     for i, n in enumerate(grid):
         row_seed = derive_seed(master_seed, i)
         data_gen = RngStream(derive_seed(row_seed, 0), 0).generator()
@@ -289,14 +280,5 @@ def convergence_experiment(
             threshold_factor,
             reps,
         )
-        rows.append(
-            ConvergenceRow(
-                n,
-                report.cross.ks,
-                report.cross.wasserstein1,
-                report.self_ks_median,
-                report.self_w1_median,
-                report.verdict,
-            )
-        )
-    return rows
+        pairs.append((n, report))
+    return pairs

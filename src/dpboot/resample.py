@@ -8,7 +8,6 @@ ensembles are reproducible bit-for-bit in any execution order.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -20,8 +19,6 @@ from .core import (
     RngStream,
     _as_finite_array,
     _check_count,
-    _check_seed,
-    _freeze,
     _measure_draws,
     _open_uniforms,
     _uniform_indices,
@@ -155,36 +152,14 @@ def dp_bootstrap_sample(data: Dataset, rng: RngStream) -> Dataset:
     return Dataset(_kernel(Method.DP_STICK_BREAK_POINTS, data)(rng.generator())[0])
 
 
-@dataclass(frozen=True, eq=False)
-class Ensemble:
-    """B replicated functional values under one scheme and one seed."""
-
-    method: Method
-    functional: Functional
-    values: np.ndarray
-    master_seed: int
-    n: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", _check_count(self.n, "n"))
-        object.__setattr__(self, "master_seed", _check_seed(self.master_seed, "master_seed"))
-        values = _freeze(_as_finite_array(self.values, "ensemble values"))
-        object.__setattr__(self, "values", values)
-
-    @property
-    def b(self) -> int:
-        """The replication count: one value per replication."""
-        return int(self.values.size)
-
-
 def make_ensemble(
     method: Method,
     data: Dataset,
     b: int,
     functional: Functional,
     master_seed: int = 0,
-) -> Ensemble:
-    """Generate the B replicated functional values of one scheme.
+) -> np.ndarray:
+    """The B replicated functional values of one scheme, as a float64 array.
 
     Replication i draws from RngStream(master_seed, i), so the result
     is a pure function of the arguments.  Every replication runs on the
@@ -199,4 +174,4 @@ def make_ensemble(
         return apply_functional(functional, *kernel(RngStream(master_seed, i).generator()))
 
     values = np.fromiter(map(replicate, range(b)), dtype=np.float64, count=b)
-    return Ensemble(method, functional, values, master_seed, len(data))
+    return _as_finite_array(values, "ensemble values")  # a mean or sd can overflow

@@ -138,18 +138,18 @@ def test_criterion_4_small_sample_equivalence():
 
 
 def test_criterion_5_convergence_trend():
-    rows = convergence_experiment(
+    pairs = convergence_experiment(
         [10, 25, 100, 400], UniformBase(0.0, 1.0), b=2000, functional=MEAN, master_seed=2024
     )
-    first, last = rows[0], rows[-1]
-    ks_ok = last.cross_ks <= first.cross_ks + 2.0 * first.self_ks_median
-    w1_ok = last.cross_w1 <= first.cross_w1 + 2.0 * first.self_w1_median
+    first, last = pairs[0][1], pairs[-1][1]
+    ks_ok = last.cross.ks <= first.cross.ks + 2.0 * first.self_ks_median
+    w1_ok = last.cross.wasserstein1 <= first.cross.wasserstein1 + 2.0 * first.self_w1_median
     ok = ks_ok and w1_ok
     assert _report(
         5,
         "cross distances do not grow from n=10 to n=400 "
-        f"(ks {first.cross_ks:.4f}->{last.cross_ks:.4f}, "
-        f"w1 {first.cross_w1:.5f}->{last.cross_w1:.5f})",
+        f"(ks {first.cross.ks:.4f}->{last.cross.ks:.4f}, "
+        f"w1 {first.cross.wasserstein1:.5f}->{last.cross.wasserstein1:.5f})",
         ok,
     )
 

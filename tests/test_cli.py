@@ -278,7 +278,7 @@ def test_replications_start_no_threads(tmp_path, sample_file, monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     ens = make_ensemble(Method.FREQUENTIST, Dataset([1.0, 2.0, 4.0]), 50, MEAN)
-    assert ens.b == 50
+    assert ens.shape == (50,)
     argv = [
         "compare", "--input", sample_file,
         "--method-a", "frequentist", "--method-b", "bayesian",
@@ -302,6 +302,17 @@ def test_compare_json_mirrors_csv(tmp_path, sample_file, capsys):
         "method_a", "method_b", "n", "b", "functional", "cross_ks", "cross_w1",
         "self_ks_median", "self_w1_median", "threshold", "verdict",
     }
+
+
+def test_compare_prints_quantile_levels_losslessly(sample_file, capsys):
+    argv = [
+        "compare", "--input", sample_file,
+        "--method-a", "frequentist", "--method-b", "bayesian",
+        "--b", "50", "--reps", "3", "--functional", "q:0.9999999",
+    ]
+    assert main(argv) == 0
+    row = capsys.readouterr().out.splitlines()[1]
+    assert row.split(",")[4] == "q:0.9999999"
 
 
 @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])

@@ -203,6 +203,10 @@ def test_mixture_validation():
             MixtureBase(((weight, leaf), (0.5, leaf)))
     with pytest.raises(InvalidInputError, match="base measures"):
         MixtureBase(((0.5, leaf), (0.5, "uniform")))
+    # The abstract BaseMeasure names no law: refused when built, not
+    # when something is first sampled from it.
+    with pytest.raises(InvalidInputError, match="cannot sample from BaseMeasure"):
+        MixtureBase(((0.5, leaf), (0.5, BaseMeasure())))
     assert MixtureBase(((np.float64(0.5), leaf), (0.5, leaf))).components[0][0] == 0.5
 
 
@@ -232,6 +236,8 @@ def test_dp_params_validation():
     for base in (None, Dataset([1.0, 2.0])):  # a dataset is not its empirical CDF
         with pytest.raises(InvalidInputError, match="base measure is required"):
             DPParams(2.0, base)
+    with pytest.raises(InvalidInputError, match="cannot sample from BaseMeasure"):
+        DPParams(2.0, BaseMeasure())
     with pytest.raises(TypeError):
         DPParams(2.0)  # the base has no default
     dp = DPParams(2, UniformBase(0, 1))
@@ -335,6 +341,16 @@ def test_functional_construction():
     level = parse_functional("q:0.5").p
     assert type(level) is float and level == 0.5
     assert type(quantile(np.float64(0.5)).p) is float
+
+
+def test_quantile_label_round_trips():
+    # Six significant digits where that is exact, every digit otherwise:
+    # q:0.9999999 must not print as q:1, which is no functional at all.
+    for level in (0.1, 0.25, 1e-7, 0.1234567, 0.9999999):
+        f = quantile(level)
+        assert parse_functional(f.label()) == f
+    assert quantile(0.9999999).label() == "q:0.9999999"
+    assert quantile(0.25).label() == "q:0.25"
 
 
 # ---------------------------------------------------------------------------

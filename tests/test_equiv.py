@@ -21,6 +21,7 @@ from dpboot import (
     self_calibrate,
     wasserstein1,
 )
+from dpboot.core import BaseMeasure
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +301,8 @@ def test_compare_detects_location_shift():
     values = RngStream(10, 0).generator().random(25)
     ens_a = make_ensemble(Method.FREQUENTIST, Dataset(values), 600, MEAN, master_seed=5)
     ens_b = make_ensemble(Method.FREQUENTIST, Dataset(values + 100.0), 600, MEAN, master_seed=6)
-    cross_ks = ks_two_sample(ens_a.values, ens_b.values)
-    cross_w1 = wasserstein1(ens_a.values, ens_b.values)
+    cross_ks = ks_two_sample(ens_a, ens_b)
+    cross_w1 = wasserstein1(ens_a, ens_b)
     baseline = self_calibrate(Method.FREQUENTIST, Dataset(values), 600, MEAN, master_seed=7)
     verdict = equivalence_verdict(DistanceReport(cross_ks, cross_w1, 600), baseline, 2.0)
     assert verdict is Verdict.DISTINGUISHABLE
@@ -369,20 +370,20 @@ def test_compare_rejects_non_finite_threshold(factor):
 
 
 def test_convergence_single_row_smoke():
-    rows = convergence_experiment([25], UniformBase(0.0, 1.0), b=400, master_seed=9)
-    assert len(rows) == 1
-    row = rows[0]
-    assert row.n == 25
-    assert 0.0 <= row.cross_ks <= 1.0
-    assert row.cross_w1 >= 0.0
-    assert row.self_ks_median >= 0.0
-    assert row.self_w1_median >= 0.0
-    assert row.verdict in (Verdict.INDISTINGUISHABLE, Verdict.DISTINGUISHABLE)
+    pairs = convergence_experiment([25], UniformBase(0.0, 1.0), b=400, master_seed=9)
+    assert len(pairs) == 1
+    n, report = pairs[0]
+    assert n == 25
+    assert 0.0 <= report.cross.ks <= 1.0
+    assert report.cross.wasserstein1 >= 0.0
+    assert report.self_ks_median >= 0.0
+    assert report.self_w1_median >= 0.0
+    assert report.verdict in (Verdict.INDISTINGUISHABLE, Verdict.DISTINGUISHABLE)
 
 
 def test_convergence_rows_follow_grid_order():
-    rows = convergence_experiment([10, 25], UniformBase(0.0, 1.0), b=300, master_seed=10)
-    assert [row.n for row in rows] == [10, 25]
+    pairs = convergence_experiment([10, 25], UniformBase(0.0, 1.0), b=300, master_seed=10)
+    assert [n for n, _ in pairs] == [10, 25]
 
 
 def test_convergence_validation():
@@ -394,6 +395,8 @@ def test_convergence_validation():
         convergence_experiment([10, 10], UniformBase(0, 1), b=100)
     with pytest.raises(InvalidInputError):
         convergence_experiment([10], "uniform", b=100)
+    with pytest.raises(InvalidInputError, match="cannot sample from BaseMeasure"):
+        convergence_experiment([10], BaseMeasure(), b=100)
     for size in (0, 10.7, math.nan, "10"):
         with pytest.raises(InvalidInputError):
             convergence_experiment([size], UniformBase(0, 1), b=100)
@@ -431,3 +434,11 @@ def test_kolmogorov_sf_matches_scipy():
     stats = pytest.importorskip("scipy.stats")
     for t in np.linspace(0.06, 4.0, 60):
         assert kolmogorov_sf(t) == pytest.approx(stats.kstwobign.sf(t), abs=1e-12)
+
+
+def test_ks_critical_matches_scipy_at_tiny_significance():
+    # Below about 5e-56 the root lies past 8, the bisection's usual end.
+    stats = pytest.importorskip("scipy.stats")
+    for significance in (1e-6, 1e-60, 1e-100, 1e-300):
+        expected = stats.kstwobign.isf(significance)
+        assert ks_critical(significance, 1) == pytest.approx(expected, rel=1e-12)

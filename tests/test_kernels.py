@@ -45,7 +45,7 @@ def test_ensemble_replications_are_kernel_draws(method, functional, values, seed
     kernel = _kernel(method, data)
     ens = make_ensemble(method, data, b, functional, master_seed=seed)
     expected = [apply_functional(functional, *kernel(RngStream(seed, i).generator())) for i in range(b)]
-    assert ens.values.tobytes() == np.array(expected).tobytes()
+    assert ens.tobytes() == np.array(expected).tobytes()
 
 
 def _sequential_urn(dp, count, gen):

@@ -56,6 +56,6 @@ def test_quantile_ensemble_follows_exact_law(method, dataset, functional):
     p = 0.5 if functional is MEDIAN else functional.p
 
     ens = make_ensemble(method, data, B, functional, master_seed=31)
-    observed = np.searchsorted(np.sort(ens.values), x, side="right") / B
+    observed = np.searchsorted(np.sort(ens), x, side="right") / B
     gap = float(np.abs(observed - _exact_cdf(method, k, p)).max())
     assert gap < stats.kstwo.ppf(1 - 1e-3, B), (method.value, dataset, functional.label(), gap)

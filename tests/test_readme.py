@@ -1,10 +1,11 @@
-"""The README's library example runs as written, and its commands parse."""
+"""The README's library example runs, its commands parse, and its output headers are real."""
 
+import json
 import re
 import shlex
 from pathlib import Path
 
-from dpboot.cli import build_parser
+from dpboot.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -37,3 +38,24 @@ def test_readme_commands_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_readme_output_columns_match_a_real_run(tmp_path, capsys):
+    (block,) = _blocks("text")
+    documented = dict(line.split(":", 1) for line in block.splitlines())
+    data = tmp_path / "data.txt"
+    data.write_text("0.5\n1.5\n2.0\n3.25\n4.0\n")
+    runs = {
+        "compare": ["compare", "--input", str(data), "--method-a", "frequentist",
+                    "--method-b", "dp-stickbreak"],
+        "experiment": ["experiment", "--n-grid", "5,8", "--generator", "uniform:0,1"],
+    }
+    assert set(documented) == set(runs)
+    for command, argv in runs.items():
+        columns = documented[command].strip()
+        assert main(argv + ["--b", "20", "--reps", "3"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == columns
+        assert main(argv + ["--b", "20", "--reps", "3", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        record = payload if command == "compare" else payload[0]
+        assert ",".join(record) == columns
